@@ -32,7 +32,6 @@
 //! fails its differential-simulation check, 0 otherwise.
 
 use hlsb::{FlowSession, Partitioning, PlaceEffort};
-use hlsb_bench::parse_partitions;
 use hlsb_benchmarks::{all_benchmarks, Benchmark};
 use hlsb_dse::{report, Explorer, KnobSpace, ResultStore, Strategy, DEFAULT_VERIFY_ITERS};
 use hlsb_telemetry::{render_prometheus, RunLedger, RunRecord};
@@ -143,10 +142,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--efforts" => {
                 args.efforts = match it.next().ok_or("--efforts needs a value")?.as_str() {
-                    "fast" => vec![PlaceEffort::Fast],
-                    "normal" => vec![PlaceEffort::Normal],
                     "both" => vec![PlaceEffort::Fast, PlaceEffort::Normal],
-                    e => return Err(format!("unknown efforts `{e}`")),
+                    e => vec![PlaceEffort::from_label(e)
+                        .ok_or_else(|| format!("unknown efforts `{e}`"))?],
                 };
             }
             "--partitions" => {
@@ -154,7 +152,7 @@ fn parse_args() -> Result<Args, String> {
                 args.partitions = p
                     .split(',')
                     .map(|tok| {
-                        parse_partitions(tok.trim())
+                        Partitioning::from_label(tok.trim())
                             .ok_or(format!("bad partitions value `{tok}` (want <n>|auto|off)"))
                     })
                     .collect::<Result<_, _>>()?;

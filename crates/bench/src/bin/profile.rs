@@ -21,7 +21,7 @@
 //! Exit status is 2 on usage errors, 0 otherwise.
 
 use hlsb::{FlowSession, OptimizationOptions, Partitioning, TraceTree};
-use hlsb_bench::{benchmark_flow, expect_all, find_benchmark, parse_partitions};
+use hlsb_bench::{benchmark_flow, expect_all, find_benchmark};
 use hlsb_benchmarks::all_benchmarks;
 use hlsb_telemetry::{collapsed_stacks, render_table, self_time};
 use std::process::ExitCode;
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--partitions" => match it.next().as_deref().and_then(parse_partitions) {
+            "--partitions" => match it.next().as_deref().and_then(Partitioning::from_label) {
                 Some(p) => partitions = p,
                 None => {
                     eprintln!("profile: --partitions needs <n>|auto|off");

@@ -15,7 +15,7 @@
 //! Perfetto or `chrome://tracing`).
 
 use hlsb::{chrome_trace, Flow, FlowSession, OptimizationOptions, Partitioning};
-use hlsb_bench::{expect_all, find_benchmark, parse_partitions, pass_summary, SEED};
+use hlsb_bench::{expect_all, find_benchmark, pass_summary, SEED};
 
 const TARGETS: [f64; 7] = [150.0, 200.0, 250.0, 300.0, 333.0, 400.0, 500.0];
 
@@ -37,7 +37,7 @@ fn main() {
                     eprintln!("sweep: --partitions needs <n>|auto|off");
                     std::process::exit(2);
                 });
-                partitions = parse_partitions(&v).unwrap_or_else(|| {
+                partitions = Partitioning::from_label(&v).unwrap_or_else(|| {
                     eprintln!("sweep: bad --partitions value `{v}` (want <n>|auto|off)");
                     std::process::exit(2);
                 });

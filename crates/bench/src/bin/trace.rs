@@ -20,7 +20,7 @@
 use hlsb::{
     chrome_trace, FlowSession, MetricsRegistry, OptimizationOptions, Partitioning, TraceTree,
 };
-use hlsb_bench::{benchmark_flow, expect_all, find_benchmark, parse_partitions};
+use hlsb_bench::{benchmark_flow, expect_all, find_benchmark};
 use hlsb_benchmarks::all_benchmarks;
 use std::process::ExitCode;
 
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--partitions" => match it.next().as_deref().and_then(parse_partitions) {
+            "--partitions" => match it.next().as_deref().and_then(Partitioning::from_label) {
                 Some(p) => partitions = p,
                 None => {
                     eprintln!("trace: --partitions needs <n>|auto|off");

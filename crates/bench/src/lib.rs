@@ -20,22 +20,11 @@
 //! builds this workspace has no network access, so no external bench
 //! framework is used.
 
-use hlsb::{Flow, ImplementationResult, OptimizationOptions, Partitioning, PassTrace, PlaceEffort};
+use hlsb::{Flow, ImplementationResult, OptimizationOptions, PassTrace, PlaceEffort};
 use hlsb_benchmarks::Benchmark;
 
 /// Shared deterministic seed for every experiment.
 pub const SEED: u64 = 0xDAC2_2020;
-
-/// Parses a `--partitions` CLI value: `off` (flat placement), `auto`
-/// (island count from netlist size and device geometry), or a fixed
-/// island count. Returns `None` for anything else.
-pub fn parse_partitions(s: &str) -> Option<Partitioning> {
-    match s {
-        "off" => Some(Partitioning::Off),
-        "auto" => Some(Partitioning::Auto),
-        n => n.parse().ok().map(Partitioning::Fixed),
-    }
-}
 
 // Benchmark resolution moved into `hlsb-benchmarks` so the compile-farm
 // server (`hlsb-serve`) can address designs by name too; re-exported here

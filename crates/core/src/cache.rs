@@ -22,7 +22,7 @@ use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hlsb_store::{ArtifactBackend, StageKind};
+use hlsb_store::{combine, ArtifactBackend, StageKind};
 
 use crate::passes::{FrontEndArtifact, ScheduleArtifact};
 
@@ -42,18 +42,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// spurious miss only costs a rebuild.
 pub(crate) fn hash_debug<T: Debug + ?Sized>(value: &T) -> u64 {
     fnv1a(format!("{value:?}").as_bytes())
-}
-
-/// Order-dependent combination of key components.
-pub(crate) fn combine(parts: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Front-end stage key: `(design, split?)`.
@@ -303,7 +291,6 @@ mod tests {
     fn hash_is_deterministic_and_content_sensitive() {
         assert_eq!(hash_debug(&(1u32, "a")), hash_debug(&(1u32, "a")));
         assert_ne!(hash_debug(&(1u32, "a")), hash_debug(&(2u32, "a")));
-        assert_ne!(combine(&[1, 2]), combine(&[2, 1]), "order must matter");
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl Flow {
     /// processes and platforms (FNV-1a over the configuration's `Debug`
     /// form, like the session's stage-artifact cache).
     pub fn config_key(&self) -> u64 {
-        crate::cache::combine(&[
+        hlsb_store::combine(&[
             crate::cache::hash_debug(&self.design),
             crate::cache::hash_debug(&self.device),
             self.clock_mhz.to_bits(),

@@ -116,6 +116,15 @@ impl RegisterInjection {
             "off".to_string()
         }
     }
+
+    /// Parses a [`label`](RegisterInjection::label): `off` or `r1.3`.
+    pub fn from_label(s: &str) -> Option<Self> {
+        if s == "off" {
+            return Some(RegisterInjection::Off);
+        }
+        let boundaries = s.strip_prefix('r')?.split('.').map(|b| b.parse().ok());
+        Some(RegisterInjection::at(boundaries.collect::<Option<_>>()?))
+    }
 }
 
 /// Placement effort (trade runtime for quality; results stay
@@ -127,6 +136,25 @@ pub enum PlaceEffort {
     /// Default annealing.
     #[default]
     Normal,
+}
+
+impl PlaceEffort {
+    /// Wire label: `fast` or `normal`.
+    pub fn label(self) -> &'static str {
+        match self {
+            PlaceEffort::Fast => "fast",
+            PlaceEffort::Normal => "normal",
+        }
+    }
+
+    /// Parses a [`label`](PlaceEffort::label).
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "fast" => Some(PlaceEffort::Fast),
+            "normal" => Some(PlaceEffort::Normal),
+            _ => None,
+        }
+    }
 }
 
 /// Island partitioning of the implement stage.
@@ -161,6 +189,24 @@ impl Partitioning {
             Partitioning::Fixed(k) => k >= 2,
         }
     }
+
+    /// Wire label: `off`, `auto` or the island count.
+    pub fn label(self) -> String {
+        match self {
+            Partitioning::Off => "off".to_string(),
+            Partitioning::Auto => "auto".to_string(),
+            Partitioning::Fixed(k) => k.to_string(),
+        }
+    }
+
+    /// Parses a [`label`](Partitioning::label).
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "off" => Some(Partitioning::Off),
+            "auto" => Some(Partitioning::Auto),
+            n => n.parse().ok().map(Partitioning::Fixed),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +224,33 @@ mod tests {
         assert_eq!(RegisterInjection::Off.label(), "off");
         assert!(!RegisterInjection::Off.is_enabled());
         assert_eq!(RegisterInjection::at(vec![2]).boundaries(), &[2]);
+    }
+
+    #[test]
+    fn labels_round_trip() {
+        for inject in [RegisterInjection::Off, RegisterInjection::at(vec![1, 3])] {
+            assert_eq!(RegisterInjection::from_label(&inject.label()), Some(inject));
+        }
+        assert_eq!(
+            RegisterInjection::from_label("r3.1"),
+            Some(RegisterInjection::At(vec![1, 3]))
+        );
+        for bad in ["q9", "r", "r1.", "r-1", "on"] {
+            assert_eq!(RegisterInjection::from_label(bad), None, "{bad}");
+        }
+        for effort in [PlaceEffort::Fast, PlaceEffort::Normal] {
+            assert_eq!(PlaceEffort::from_label(effort.label()), Some(effort));
+        }
+        assert_eq!(PlaceEffort::from_label("slow"), None);
+        for p in [
+            Partitioning::Off,
+            Partitioning::Auto,
+            Partitioning::Fixed(3),
+        ] {
+            assert_eq!(Partitioning::from_label(&p.label()), Some(p));
+        }
+        assert_eq!(Partitioning::Fixed(12).label(), "12");
+        assert_eq!(Partitioning::from_label("many"), None);
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! tolerance, later-duplicate-wins, heal-before-append) lives in
 //! [`hlsb_store::JsonlTable`]; this module only owns the [`Record`]
 //! format — hand-rolled JSON whose floats use Rust's shortest
-//! round-trip notation, so a record read back is bit-identical to the
-//! one written. Files written before the extraction parse unchanged.
+//! round-trip notation, so a record read back (through
+//! [`hlsb_findings::Object`]) is bit-identical to the one written. Files
+//! written before the extraction parse unchanged.
 
 use std::path::Path;
 
 use hlsb::{OptimizationOptions, Partitioning, PlaceEffort};
-use hlsb_store::json::{bool_field, json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Object};
 use hlsb_store::{JsonlRecord, JsonlTable};
 
 use crate::objective::Metrics;
@@ -74,15 +75,8 @@ impl JsonlRecord for Record {
             o.min_area_skid,
             self.config.clock_mhz,
             self.config.place_seeds,
-            match self.config.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            match self.config.partitions {
-                Partitioning::Off => "off".to_string(),
-                Partitioning::Auto => "auto".to_string(),
-                Partitioning::Fixed(k) => k.to_string(),
-            },
+            self.config.effort.label(),
+            self.config.partitions.label(),
             self.metrics.fmax_mhz,
             self.metrics.latency_cycles,
             self.metrics.area_cells,
@@ -90,44 +84,32 @@ impl JsonlRecord for Record {
     }
 
     fn from_json(line: &str) -> Option<Record> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let effort = match raw_field(line, "effort")? {
-            "\"fast\"" => PlaceEffort::Fast,
-            "\"normal\"" => PlaceEffort::Normal,
-            _ => return None,
-        };
+        let o = Object::parse(line).ok()?;
         // Records written before island partitioning carry no
         // `partitions` field; they were all flat.
-        let partitions = match raw_field(line, "partitions") {
+        let partitions = match o.opt_str("partitions").ok()? {
             None => Partitioning::Off,
-            Some("\"off\"") => Partitioning::Off,
-            Some("\"auto\"") => Partitioning::Auto,
-            Some(raw) => {
-                Partitioning::Fixed(raw.strip_prefix('"')?.strip_suffix('"')?.parse().ok()?)
-            }
+            Some(label) => Partitioning::from_label(label)?,
         };
         Some(Record {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
+            key: o.u64("key").ok()?,
+            design: o.str("design").ok()?.to_string(),
             config: DseConfig {
                 options: OptimizationOptions {
-                    broadcast_aware: bool_field(line, "broadcast_aware")?,
-                    sync_pruning: bool_field(line, "sync_pruning")?,
-                    skid_buffer: bool_field(line, "skid_buffer")?,
-                    min_area_skid: bool_field(line, "min_area_skid")?,
+                    broadcast_aware: o.bool("broadcast_aware").ok()?,
+                    sync_pruning: o.bool("sync_pruning").ok()?,
+                    skid_buffer: o.bool("skid_buffer").ok()?,
+                    min_area_skid: o.bool("min_area_skid").ok()?,
                 },
-                clock_mhz: raw_field(line, "clock_mhz")?.parse().ok()?,
-                place_seeds: raw_field(line, "place_seeds")?.parse().ok()?,
-                effort,
+                clock_mhz: o.f64("clock_mhz").ok()?,
+                place_seeds: u32::try_from(o.u64("place_seeds").ok()?).ok()?,
+                effort: PlaceEffort::from_label(o.str("effort").ok()?)?,
                 partitions,
             },
             metrics: Metrics {
-                fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-                latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-                area_cells: raw_field(line, "area_cells")?.parse().ok()?,
+                fmax_mhz: o.f64("fmax_mhz").ok()?,
+                latency_cycles: o.u64("latency_cycles").ok()?,
+                area_cells: o.u64("area_cells").ok()?,
             },
         })
     }
@@ -228,6 +210,23 @@ mod tests {
         assert_eq!(back, rec, "round trip must be bit-exact:\n{line}");
         assert!(Record::from_json("{\"key\":1").is_none(), "truncated line");
         assert!(Record::from_json("").is_none());
+    }
+
+    #[test]
+    fn golden_line_parses_and_re_renders_identically() {
+        let line = "{\"key\":7,\"design\":\"d, {x}\",\"label\":\"BSKM @333 ×2 fast p3\",\
+             \"broadcast_aware\":true,\"sync_pruning\":true,\"skid_buffer\":true,\
+             \"min_area_skid\":true,\"clock_mhz\":333.25,\"place_seeds\":2,\"effort\":\"fast\",\
+             \"partitions\":\"3\",\"fmax_mhz\":341.5,\"latency_cycles\":1047,\"area_cells\":23456}";
+        let rec = Record::from_json(line).expect("parses");
+        assert_eq!(rec.design, "d, {x}");
+        assert_eq!(rec.config.partitions, Partitioning::Fixed(3));
+        assert_eq!(rec.to_json(), line);
+        for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+            assert!(Record::from_json(&line[..cut]).is_none(), "cut at {cut}");
+        }
+        let bad = line.replace("\"effort\":\"fast\"", "\"effort\":\"slow\"");
+        assert!(Record::from_json(&bad).is_none());
     }
 
     #[test]

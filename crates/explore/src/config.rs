@@ -113,14 +113,10 @@ impl ExploreConfig {
                 String::new()
             },
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
+            self.effort.label(),
             match self.partitions {
                 Partitioning::Off => String::new(),
-                Partitioning::Auto => " pauto".to_string(),
-                Partitioning::Fixed(k) => format!(" p{k}"),
+                p => format!(" p{}", p.label()),
             }
         )
     }

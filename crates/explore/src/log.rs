@@ -5,7 +5,8 @@
 //! [`hlsb_store::JsonlTable`]; this module only owns the
 //! [`TrialRecord`] format — hand-rolled JSON (the workspace builds
 //! offline, no serde) with floats in Rust's shortest round-trip
-//! notation, so files written before the extraction parse unchanged.
+//! notation, read back through [`hlsb_findings::Object`], so files
+//! written before the extraction parse unchanged.
 //! The key is [`Flow::config_key`](hlsb::Flow::config_key) of the
 //! trial's flow — the clock target is part of the key, so one search
 //! produces one record per trial and a resumed search answers every
@@ -13,7 +14,7 @@
 
 use std::path::Path;
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Object};
 use hlsb_store::{JsonlRecord, JsonlTable};
 
 /// How a trial's verdict was decided.
@@ -32,6 +33,14 @@ impl TrialKind {
         match self {
             TrialKind::Full => "full",
             TrialKind::Probe => "probe",
+        }
+    }
+
+    fn from_name(name: &str) -> Option<TrialKind> {
+        match name {
+            "full" => Some(TrialKind::Full),
+            "probe" => Some(TrialKind::Probe),
+            _ => None,
         }
     }
 }
@@ -98,29 +107,17 @@ impl JsonlRecord for TrialRecord {
     }
 
     fn from_json(line: &str) -> Option<TrialRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let kind = match raw_field(line, "kind")? {
-            "\"full\"" => TrialKind::Full,
-            "\"probe\"" => TrialKind::Probe,
-            _ => return None,
-        };
+        let o = Object::parse(line).ok()?;
         Some(TrialRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
-            label: string_field(line, "label")?,
-            clock_mhz: raw_field(line, "clock_mhz")?.parse().ok()?,
-            kind,
-            met: match raw_field(line, "met")? {
-                "true" => true,
-                "false" => false,
-                _ => return None,
-            },
-            fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-            latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+            key: o.u64("key").ok()?,
+            design: o.str("design").ok()?.to_string(),
+            label: o.str("label").ok()?.to_string(),
+            clock_mhz: o.f64("clock_mhz").ok()?,
+            kind: TrialKind::from_name(o.str("kind").ok()?)?,
+            met: o.bool("met").ok()?,
+            fmax_mhz: o.f64("fmax_mhz").ok()?,
+            latency_cycles: o.u64("latency_cycles").ok()?,
+            wall_ms: o.f64("wall_ms").ok()?,
         })
     }
 }
@@ -219,6 +216,23 @@ mod tests {
         assert_eq!(back, rec, "round trip must be bit-exact:\n{line}");
         assert!(TrialRecord::from_json("{\"key\":1").is_none());
         assert!(TrialRecord::from_json("").is_none());
+    }
+
+    #[test]
+    fn golden_line_parses_and_re_renders_identically() {
+        let line = "{\"key\":7,\"design\":\"d, {x}\",\"label\":\"BSKM+r1 ×1 fast\",\
+            \"clock_mhz\":341.25,\"kind\":\"probe\",\"met\":false,\"fmax_mhz\":0.0,\
+            \"latency_cycles\":0,\"wall_ms\":3.5}";
+        let rec = TrialRecord::from_json(line).expect("parses");
+        assert_eq!(rec.kind, TrialKind::Probe);
+        assert_eq!(rec.design, "d, {x}");
+        assert_eq!(rec.to_json(), line);
+        for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
+            assert!(
+                TrialRecord::from_json(&line[..cut]).is_none(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

@@ -16,11 +16,25 @@
 //!
 //! Every knob that participates in [`Flow::config_key`] is settable, so
 //! two jobs are duplicates exactly when their resolved flows share a
-//! config key. The JSON is hand-rolled ([`hlsb_store::json`]) like every
-//! other persistent format in the workspace.
+//! config key. Job lines come from clients, so they are parsed strictly
+//! (see [`JobSpec::from_json`]) with the workspace's one JSON reader,
+//! [`hlsb_findings::Object`].
 
 use hlsb::{Flow, OptimizationOptions, Partitioning, PlaceEffort, RegisterInjection};
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Json, Object};
+
+/// Every key a job line may carry.
+const JOB_KEYS: [&str; 9] = [
+    "id",
+    "design",
+    "clock_mhz",
+    "options",
+    "seed",
+    "place_seeds",
+    "effort",
+    "partitions",
+    "inject",
+];
 
 /// One requested compile, as parsed from a JSONL job line.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,34 +125,16 @@ pub fn parse_options(s: &str) -> Option<OptimizationOptions> {
     Some(o)
 }
 
-fn partitions_label(p: Partitioning) -> String {
-    match p {
-        Partitioning::Off => "off".to_string(),
-        Partitioning::Auto => "auto".to_string(),
-        Partitioning::Fixed(k) => k.to_string(),
-    }
-}
-
-fn parse_partitions(s: &str) -> Option<Partitioning> {
-    match s {
-        "off" => Some(Partitioning::Off),
-        "auto" => Some(Partitioning::Auto),
-        n => n.parse().ok().map(Partitioning::Fixed),
-    }
-}
-
-/// Parses a [`RegisterInjection::label`] string: `off` or `r1.3`
-/// (boundaries joined by `.`).
-fn parse_inject(s: &str) -> Option<RegisterInjection> {
-    if s == "off" {
-        return Some(RegisterInjection::Off);
-    }
-    let body = s.strip_prefix('r')?;
-    let mut boundaries = Vec::new();
-    for part in body.split('.') {
-        boundaries.push(part.parse().ok()?);
-    }
-    Some(RegisterInjection::at(boundaries))
+/// An optional label-valued job key: absent is `None`, present must be
+/// a string `parse` accepts.
+fn parse_label<T>(
+    o: &Object,
+    key: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    o.opt_str(key)?
+        .map(|v| parse(v).ok_or_else(|| format!("bad `{key}` value `{v}`")))
+        .transpose()
 }
 
 impl JobSpec {
@@ -160,71 +156,51 @@ impl JobSpec {
             options_mask(&self.options),
             self.seed,
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            partitions_label(self.partitions),
+            self.effort.label(),
+            self.partitions.label(),
             self.inject.label(),
         )
     }
 
     /// Parses one job line. Only `design` is required; every other field
-    /// falls back to [`JobSpec::default`]. The error string names the
-    /// offending field (deterministically, for stable outcome streams).
+    /// falls back to [`JobSpec::default`]. The line must be one JSON
+    /// object (any JSON whitespace) holding only the keys [`to_json`]
+    /// writes, each at most once and with the type [`to_json`] writes,
+    /// except that `clock_mhz` may be any positive number or `null`. The
+    /// error string names the offending key (deterministically, for
+    /// stable outcome streams).
+    ///
+    /// [`to_json`]: JobSpec::to_json
     pub fn from_json(line: &str) -> Result<JobSpec, String> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err("job line is not a JSON object".to_string());
+        let o = Object::parse(line).map_err(|e| format!("job line is not valid JSON: {e}"))?;
+        o.only(&JOB_KEYS)?;
+        let design = o.opt_str("design")?.unwrap_or_default();
+        if design.is_empty() {
+            return Err("job is missing the required `design` field".to_string());
         }
-        let mut job = JobSpec {
-            design: string_field(line, "design")
-                .filter(|d| !d.is_empty())
-                .ok_or("job is missing the required `design` field")?,
-            ..JobSpec::default()
-        };
-        if let Some(id) = string_field(line, "id") {
-            job.id = id;
-        }
-        match raw_field(line, "clock_mhz") {
-            None | Some("null") => {}
-            Some(raw) => {
-                let mhz: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("bad `clock_mhz` value {raw}"))?;
-                if !(mhz.is_finite() && mhz > 0.0) {
-                    return Err(format!("bad `clock_mhz` value {raw}"));
-                }
-                job.clock_mhz = Some(mhz);
-            }
-        }
-        if let Some(mask) = string_field(line, "options") {
-            job.options =
-                parse_options(&mask).ok_or_else(|| format!("bad `options` mask `{mask}`"))?;
-        }
-        if let Some(raw) = raw_field(line, "seed") {
-            job.seed = raw.parse().map_err(|_| format!("bad `seed` value {raw}"))?;
-        }
-        if let Some(raw) = raw_field(line, "place_seeds") {
-            job.place_seeds = raw
-                .parse()
-                .map_err(|_| format!("bad `place_seeds` value {raw}"))?;
-        }
-        if let Some(s) = string_field(line, "effort") {
-            job.effort = match s.as_str() {
-                "fast" => PlaceEffort::Fast,
-                "normal" => PlaceEffort::Normal,
-                other => return Err(format!("bad `effort` value `{other}`")),
-            };
-        }
-        if let Some(s) = string_field(line, "partitions") {
-            job.partitions =
-                parse_partitions(&s).ok_or_else(|| format!("bad `partitions` value `{s}`"))?;
-        }
-        if let Some(s) = string_field(line, "inject") {
-            job.inject = parse_inject(&s).ok_or_else(|| format!("bad `inject` value `{s}`"))?;
-        }
-        Ok(job)
+        let defaults = JobSpec::default();
+        Ok(JobSpec {
+            id: o.opt_str("id")?.unwrap_or_default().to_string(),
+            design: design.to_string(),
+            clock_mhz: match o.get("clock_mhz") {
+                None | Some(Json::Null) => None,
+                Some(v) => match v.as_f64() {
+                    Some(mhz) if mhz > 0.0 => Some(mhz),
+                    _ => return Err("`clock_mhz` must be a positive number or null".into()),
+                },
+            },
+            options: parse_label(&o, "options", parse_options)?.unwrap_or(defaults.options),
+            seed: o.opt_u64("seed")?.unwrap_or(defaults.seed),
+            place_seeds: match o.opt_u64("place_seeds")? {
+                None => defaults.place_seeds,
+                Some(n) => u32::try_from(n).map_err(|_| format!("bad `place_seeds` value {n}"))?,
+            },
+            effort: parse_label(&o, "effort", PlaceEffort::from_label)?.unwrap_or(defaults.effort),
+            partitions: parse_label(&o, "partitions", Partitioning::from_label)?
+                .unwrap_or(defaults.partitions),
+            inject: parse_label(&o, "inject", RegisterInjection::from_label)?
+                .unwrap_or(defaults.inject),
+        })
     }
 
     /// Resolves the job to a runnable [`Flow`] plus its human-readable
@@ -279,11 +255,8 @@ impl JobSpec {
             options_mask(&self.options),
             self.seed,
             self.place_seeds,
-            match self.effort {
-                PlaceEffort::Fast => "fast",
-                PlaceEffort::Normal => "normal",
-            },
-            partitions_label(self.partitions),
+            self.effort.label(),
+            self.partitions.label(),
             self.inject.label(),
         )
     }
@@ -306,8 +279,11 @@ mod tests {
             partitions: Partitioning::Fixed(3),
             inject: RegisterInjection::at(vec![1, 3]),
         };
-        let line = job.to_json();
-        assert_eq!(JobSpec::from_json(&line), Ok(job));
+        let line = "{\"id\":\"j \\\"1\\\"\",\"design\":\"fuzz:42\",\"clock_mhz\":312.75,\
+            \"options\":\"bk\",\"seed\":7,\"place_seeds\":2,\"effort\":\"normal\",\
+            \"partitions\":\"3\",\"inject\":\"r1.3\"}";
+        assert_eq!(job.to_json(), line, "the canonical line never changes");
+        assert_eq!(JobSpec::from_json(line), Ok(job));
     }
 
     #[test]
@@ -341,6 +317,44 @@ mod tests {
             let err = JobSpec::from_json(line).unwrap_err();
             assert!(err.contains(field), "{line} -> {err}");
         }
+    }
+
+    #[test]
+    fn job_lines_are_strict_and_errors_name_the_key() {
+        // Commas inside strings are content, not field separators.
+        let job = JobSpec::from_json("{\"id\":\"a,b\",\"design\":\"fuzz:1\"}").unwrap();
+        assert_eq!(job.id, "a,b");
+        // JSON whitespace is accepted; integer clocks and null stay valid.
+        let job =
+            JobSpec::from_json(" {\n\"design\" : \"fuzz:1\",\t\"clock_mhz\": 100 } ").unwrap();
+        assert_eq!(job.clock_mhz, Some(100.0));
+        let job = JobSpec::from_json("{\"design\":\"fuzz:1\",\"clock_mhz\":null}").unwrap();
+        assert_eq!(job.clock_mhz, None);
+        for (line, key) in [
+            ("{\"design\":\"fuzz:1\",\"clok_mhz\":100}", "clok_mhz"),
+            ("{\"design\":\"fuzz:1\",\"seed\":3,\"seed\":\"x\"}", "seed"),
+            ("{\"design\":\"fuzz:1\",\"seed\":\"3\"}", "seed"),
+            ("{\"design\":\"fuzz:1\",\"seed\":1.5}", "seed"),
+            ("{\"design\":\"fuzz:1\",\"id\":7}", "id"),
+            ("{\"design\":\"fuzz:1\",\"clock_mhz\":\"300\"}", "clock_mhz"),
+            ("{\"design\":\"fuzz:1\",\"clock_mhz\":0}", "clock_mhz"),
+            (
+                "{\"design\":\"fuzz:1\",\"place_seeds\":4294967296}",
+                "place_seeds",
+            ),
+            ("{\"design\":\"fuzz:1\",\"partitions\":3}", "partitions"),
+            ("{\"design\":[\"fuzz:1\"]}", "design"),
+        ] {
+            let err = JobSpec::from_json(line).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{line} -> {err}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_job_lines_fail_without_crashing() {
+        let line = format!("{{\"design\":{}", "[".repeat(200_000));
+        let err = JobSpec::from_json(&line).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -29,8 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hlsb::{FlowError, FlowSession};
-use hlsb_findings::Severity;
-use hlsb_store::json::json_escape;
+use hlsb_findings::{json_escape, Severity};
 use hlsb_store::{ArtifactStore, ResultRecord};
 use hlsb_telemetry::{RunLedger, RunRecord};
 use hlsb_trace::{MetricsRegistry, TraceTree, Tracer};
@@ -378,6 +377,7 @@ impl JobServer {
             span.attr_volatile("jobs", wave.len() as u64);
         }
         summary.jobs += wave.len();
+        let evaluated_before = summary.evaluated;
         {
             let mut metrics = self.metrics.lock().unwrap();
             metrics.count("serve.jobs", wave.len() as u64);
@@ -551,6 +551,8 @@ impl JobServer {
         }
 
         let wave_ms = wave_start.elapsed().as_secs_f64() * 1e3;
+        // Verify-rejected flows were dispatched but never evaluated.
+        let evaluated = (summary.evaluated - evaluated_before) as u64;
         {
             let mut metrics = self.metrics.lock().unwrap();
             // Zero tallies don't create counters: a clean run's registry
@@ -565,7 +567,7 @@ impl JobServer {
                     metrics.count(name, tally as u64);
                 }
             }
-            metrics.count("serve.evaluated", flows.len() as u64);
+            metrics.count("serve.evaluated", evaluated);
             metrics.observe("serve.wave-ms", &WAVE_MS_BOUNDS, wave_ms);
             let workers = self.session.threads().max(1) as f64;
             metrics.observe(
@@ -584,7 +586,7 @@ impl JobServer {
             );
             rec.add_stage("wave", wave_ms);
             rec.add_count("jobs", wave.len() as u64);
-            rec.add_count("evaluated", flows.len() as u64);
+            rec.add_count("evaluated", evaluated);
             rec.add_count("store-hits", wave_tally.store_hits as u64);
             rec.add_count("dedup-hits", wave_tally.dedup_hits as u64);
             rec.add_count("rejected", wave_tally.rejected as u64);
@@ -594,7 +596,7 @@ impl JobServer {
             let _ = ledger.append(rec);
         }
         if span.is_enabled() {
-            span.attr_volatile("evaluated", flows.len() as u64);
+            span.attr_volatile("evaluated", evaluated);
             span.attr_volatile("wave-ms", wave_ms);
         }
         span.finish();
@@ -727,6 +729,35 @@ mod tests {
         // Failed jobs still get stable default ids from input position.
         assert_eq!(out[0].id, "job-0");
         assert_eq!(out[2].id, "job-2");
+    }
+
+    #[test]
+    fn verify_rejected_jobs_never_count_as_evaluated() {
+        let ledger = Arc::new(RunLedger::in_memory());
+        let mut server = JobServer::new(ServeConfig {
+            workers: 1,
+            trace: true,
+            ..ServeConfig::default()
+        })
+        .with_ledger(Arc::clone(&ledger));
+        let mut lines = vec![fuzz_job(1), fuzz_job(2)];
+        // `dirty:0..=2` plant error-class network defects.
+        lines.extend((0..3).map(|seed| format!("{{\"design\":\"dirty:{seed}\"}}")));
+        let (_, summary) = collect(&mut server, lines);
+        assert_eq!((summary.evaluated, summary.rejected), (2, 3));
+        assert_eq!(server.metrics().counter("serve.evaluated"), 2);
+        let waves: Vec<RunRecord> = ledger
+            .records()
+            .into_iter()
+            .filter(|r| r.tool == "serve-wave")
+            .collect();
+        assert_eq!(waves.len(), 1);
+        assert_eq!(waves[0].counter("evaluated"), 2);
+        assert_eq!(waves[0].counter("rejected"), 3);
+        let tree = server.take_trace();
+        let wave = tree.spans.iter().find(|s| s.name == "serve.wave").unwrap();
+        let evaluated = wave.attrs.iter().find(|a| a.key == "evaluated").unwrap();
+        assert_eq!(evaluated.value.as_u64(), Some(2));
     }
 
     #[test]

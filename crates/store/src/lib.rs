@@ -1,11 +1,8 @@
 //! `hlsb-store` — the persistent content-addressed store behind the
 //! compile-farm subsystem.
 //!
-//! Three layers, each usable on its own:
+//! Two layers, each usable on its own:
 //!
-//! * [`json`] — the hand-rolled flat-JSON field helpers every JSONL
-//!   codec in the workspace shares (the build is offline; there is no
-//!   serde).
 //! * [`JsonlTable`] — a generic keyed table over an append-only JSONL
 //!   file with the workspace's durability rules: append+flush per
 //!   record, partial-trailing-line tolerance, later-duplicate-wins, and
@@ -22,7 +19,6 @@
 //!
 //! Design rationale, layout and locking rules: `DESIGN.md` §3g.
 
-pub mod json;
 pub mod table;
 
 mod artifact;
@@ -34,9 +30,10 @@ pub use lock::{StoreLock, LOCK_FILE};
 pub use record::{stage_table_key, ResultRecord, StageKind, StageRecord};
 pub use table::{JsonlRecord, JsonlTable};
 
-/// 64-bit FNV-1a over an order-dependent sequence of parts — the same
-/// combination function the session cache uses for its stage keys, so
-/// keys derived here and there agree across processes and platforms.
+/// 64-bit FNV-1a over an order-dependent sequence of parts — the one
+/// combination function behind every key in the workspace: the session
+/// cache's stage keys, `Flow::config_key`, stage-table salting and
+/// ledger record keys, so keys agree across processes and platforms.
 pub fn combine(parts: &[u64]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &p in parts {
@@ -57,5 +54,8 @@ mod tests {
         assert_eq!(combine(&[1, 2]), combine(&[1, 2]));
         assert_ne!(combine(&[1, 2]), combine(&[2, 1]));
         assert_ne!(combine(&[]), combine(&[0]));
+        // Pinned: every persisted key depends on these exact bits.
+        assert_eq!(combine(&[1, 2]), 0x7717_9803_63c8_e066);
+        assert_eq!(combine(&[]), 0xcbf2_9ce4_8422_2325);
     }
 }

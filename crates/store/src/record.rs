@@ -16,7 +16,8 @@
 //!   mismatch means two processes disagreed on a supposedly pure build)
 //!   at none of the serialization cost.
 
-use crate::json::{json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Object};
+
 use crate::table::JsonlRecord;
 
 /// The pipeline stage a [`StageRecord`] fingerprints.
@@ -61,8 +62,8 @@ pub fn stage_table_key(stage: StageKind, key: u64) -> u64 {
 }
 
 /// One persisted full-flow evaluation: everything a warm serve needs to
-/// answer the job without touching the pipeline. Scalar-only by design —
-/// [`raw_field`](crate::json::raw_field) parsing keeps records flat.
+/// answer the job without touching the pipeline. Scalar-only by design,
+/// so records stay flat one-line objects.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRecord {
     /// `Flow::config_key` of the evaluated flow (covers design, device
@@ -127,25 +128,22 @@ impl JsonlRecord for ResultRecord {
     }
 
     fn from_json(line: &str) -> Option<ResultRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
+        let o = Object::parse(line).ok()?;
         Some(ResultRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            design: string_field(line, "design")?,
-            label: string_field(line, "label")?,
-            fmax_mhz: raw_field(line, "fmax_mhz")?.parse().ok()?,
-            period_ns: raw_field(line, "period_ns")?.parse().ok()?,
-            latency_cycles: raw_field(line, "latency_cycles")?.parse().ok()?,
-            luts: raw_field(line, "luts")?.parse().ok()?,
-            ffs: raw_field(line, "ffs")?.parse().ok()?,
-            brams: raw_field(line, "brams")?.parse().ok()?,
-            dsps: raw_field(line, "dsps")?.parse().ok()?,
-            inserted_regs: raw_field(line, "inserted_regs")?.parse().ok()?,
-            duplicated_regs: raw_field(line, "duplicated_regs")?.parse().ok()?,
-            retime_moves: raw_field(line, "retime_moves")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+            key: o.u64("key").ok()?,
+            design: o.str("design").ok()?.to_string(),
+            label: o.str("label").ok()?.to_string(),
+            fmax_mhz: o.f64("fmax_mhz").ok()?,
+            period_ns: o.f64("period_ns").ok()?,
+            latency_cycles: o.u64("latency_cycles").ok()?,
+            luts: o.u64("luts").ok()?,
+            ffs: o.u64("ffs").ok()?,
+            brams: o.u64("brams").ok()?,
+            dsps: o.u64("dsps").ok()?,
+            inserted_regs: o.u64("inserted_regs").ok()?,
+            duplicated_regs: o.u64("duplicated_regs").ok()?,
+            retime_moves: o.u64("retime_moves").ok()?,
+            wall_ms: o.f64("wall_ms").ok()?,
         })
     }
 }
@@ -180,16 +178,12 @@ impl JsonlRecord for StageRecord {
     }
 
     fn from_json(line: &str) -> Option<StageRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
-        let stage = StageKind::from_name(&string_field(line, "stage")?)?;
+        let o = Object::parse(line).ok()?;
         Some(StageRecord {
-            stage,
-            key: raw_field(line, "key")?.parse().ok()?,
-            fingerprint: raw_field(line, "fingerprint")?.parse().ok()?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
+            stage: StageKind::from_name(o.str("stage").ok()?)?,
+            key: o.u64("key").ok()?,
+            fingerprint: o.u64("fingerprint").ok()?,
+            wall_ms: o.f64("wall_ms").ok()?,
         })
     }
 }
@@ -225,6 +219,40 @@ mod tests {
         assert_eq!(back, rec, "round trip must be bit-exact:\n{line}");
         assert!(ResultRecord::from_json("{\"key\":1").is_none());
         assert!(ResultRecord::from_json("").is_none());
+    }
+
+    #[test]
+    fn golden_lines_parse_and_re_render_identically() {
+        // Lines as the store has always written them.
+        let result = "{\"key\":12297829382473034410,\"design\":\"genome, v2 {a}\",\
+            \"label\":\"BSKM ×2 fast\",\"fmax_mhz\":341.2299999999997,\"period_ns\":2.930575,\
+            \"latency_cycles\":1047,\"luts\":2310,\"ffs\":4120,\"brams\":12,\"dsps\":3,\
+            \"inserted_regs\":17,\"duplicated_regs\":4,\"retime_moves\":2,\"wall_ms\":1433.7}";
+        let rec = ResultRecord::from_json(result).expect("parses");
+        assert_eq!(rec.key, 0xAAAA_AAAA_AAAA_AAAA);
+        assert_eq!(rec.design, "genome, v2 {a}");
+        assert_eq!(rec.fmax_mhz, 341.229_999_999_999_7);
+        assert_eq!(rec.to_json(), result);
+
+        let stage = "{\"stage\":\"schedule\",\"key\":1311768467463790320,\
+            \"fingerprint\":1147797409030816545,\"wall_ms\":3.25}";
+        let rec = StageRecord::from_json(stage).expect("parses");
+        assert_eq!(rec.stage, StageKind::Schedule);
+        assert_eq!(rec.fingerprint, 0x0FED_CBA9_8765_4321);
+        assert_eq!(rec.to_json(), stage);
+    }
+
+    #[test]
+    fn wrong_typed_or_missing_fields_skip_the_line() {
+        let line = result_record(7, 300.0).to_json();
+        for bad in [
+            line.replace("\"luts\":2310", "\"luts\":\"2310\""),
+            line.replace("\"luts\":2310", "\"luts\":-2310"),
+            line.replace("\"luts\":2310,", ""),
+            line.replace("\"fmax_mhz\":300.0", "\"fmax_mhz\":true"),
+        ] {
+            assert!(ResultRecord::from_json(&bad).is_none(), "{bad}");
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!
 //! Each record is one flat JSON line written by the record type itself
 //! ([`JsonlRecord::to_json`]); the table never interprets the line beyond
-//! handing it back to [`JsonlRecord::from_json`].
+//! handing it back to [`JsonlRecord::from_json`], which decodes it with
+//! the workspace's one JSON reader ([`hlsb_findings::Object`]).
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -229,14 +230,28 @@ mod tests {
         }
 
         fn from_json(line: &str) -> Option<Pair> {
-            let line = line.trim();
-            if !(line.starts_with('{') && line.ends_with('}')) {
-                return None;
-            }
+            let o = hlsb_findings::Object::parse(line).ok()?;
             Some(Pair {
-                key: crate::json::raw_field(line, "key")?.parse().ok()?,
-                value: crate::json::raw_field(line, "value")?.parse().ok()?,
+                key: o.u64("key").ok()?,
+                value: o.u64("value").ok()?,
             })
+        }
+    }
+
+    #[test]
+    fn golden_pair_line_parses_and_re_renders() {
+        let line = "{\"key\":18446744073709551615,\"value\":0}";
+        let pair = Pair::from_json(line).expect("parses");
+        assert_eq!(
+            pair,
+            Pair {
+                key: u64::MAX,
+                value: 0
+            }
+        );
+        assert_eq!(pair.to_json(), line);
+        for cut in 0..line.len() {
+            assert!(Pair::from_json(&line[..cut]).is_none(), "cut at {cut}");
         }
     }
 

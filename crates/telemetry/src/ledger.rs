@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Object};
 use hlsb_store::{JsonlRecord, JsonlTable, StoreLock};
 
 /// One top-level run: a flow evaluation, a serve wave, a DSE campaign or
@@ -142,19 +142,9 @@ impl RunRecord {
     }
 }
 
-fn decode_stages(s: &str) -> Option<Vec<(String, f64)>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    s.split(';')
-        .map(|tok| {
-            let (n, v) = tok.split_once('=')?;
-            Some((n.to_string(), v.parse().ok()?))
-        })
-        .collect()
-}
-
-fn decode_counters(s: &str) -> Option<Vec<(String, u64)>> {
+/// Decodes an `encode_stages`/`encode_counters` string: `name=value`
+/// pairs joined by `;`.
+fn decode_pairs<T: std::str::FromStr>(s: &str) -> Option<Vec<(String, T)>> {
     if s.is_empty() {
         return Some(Vec::new());
     }
@@ -182,27 +172,24 @@ impl JsonlRecord for RunRecord {
             self.config_key,
             json_escape(&self.status),
             self.wall_ms,
-            self.encode_stages(),
-            self.encode_counters(),
+            json_escape(&self.encode_stages()),
+            json_escape(&self.encode_counters()),
             self.digest,
         )
     }
 
     fn from_json(line: &str) -> Option<RunRecord> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return None;
-        }
+        let o = Object::parse(line).ok()?;
         Some(RunRecord {
-            key: raw_field(line, "key")?.parse().ok()?,
-            tool: string_field(line, "tool")?,
-            design: string_field(line, "design")?,
-            config_key: raw_field(line, "config_key")?.parse().ok()?,
-            status: string_field(line, "status")?,
-            wall_ms: raw_field(line, "wall_ms")?.parse().ok()?,
-            stages: decode_stages(&string_field(line, "stages")?)?,
-            counters: decode_counters(&string_field(line, "counters")?)?,
-            digest: raw_field(line, "digest")?.parse().ok()?,
+            key: o.u64("key").ok()?,
+            tool: o.str("tool").ok()?.to_string(),
+            design: o.str("design").ok()?.to_string(),
+            config_key: o.u64("config_key").ok()?,
+            status: o.str("status").ok()?.to_string(),
+            wall_ms: o.f64("wall_ms").ok()?,
+            stages: decode_pairs(o.str("stages").ok()?)?,
+            counters: decode_pairs(o.str("counters").ok()?)?,
+            digest: o.u64("digest").ok()?,
         })
     }
 }
@@ -352,6 +339,23 @@ mod tests {
         for cut in (0..line.len()).filter(|&c| line.is_char_boundary(c)) {
             assert!(RunRecord::from_json(&line[..cut]).is_none());
         }
+    }
+
+    #[test]
+    fn golden_line_parses_and_re_renders_identically() {
+        // A flow record as the ledger has always written it.
+        let line = "{\"key\":16045690981293355021,\"tool\":\"flow\",\"design\":\"lstm_gate\",\
+            \"config_key\":7,\"status\":\"ok\",\"wall_ms\":12.25,\
+            \"stages\":\"front-end=1.5;schedule=0.1\",\
+            \"counters\":\"cache-hits=1;executions=2\",\"digest\":99}";
+        let rec = RunRecord::from_json(line).expect("parses");
+        assert_eq!(rec.key, 0xDEAD_BEEF_0BAD_F00D);
+        assert_eq!(
+            rec.stages,
+            vec![("front-end".into(), 1.5), ("schedule".into(), 0.1)]
+        );
+        assert_eq!(rec.counter("executions"), 2);
+        assert_eq!(rec.to_json(), line);
     }
 
     #[test]

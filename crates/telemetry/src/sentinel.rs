@@ -17,7 +17,7 @@
 //! --write-baseline`). `design` may be `*` to match every design of the
 //! rule's tool.
 
-use hlsb_store::json::{json_escape, raw_field, string_field};
+use hlsb_findings::{json_escape, Object};
 
 use crate::ledger::RunRecord;
 
@@ -77,33 +77,27 @@ impl Baseline {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let bad = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-            if !(line.starts_with('{') && line.ends_with('}')) {
-                return Err(bad("expected a JSON object"));
-            }
-            match string_field(line, "kind").as_deref() {
-                Some("stage") => baseline.stages.push(StageRule {
-                    tool: string_field(line, "tool").ok_or_else(|| bad("missing tool"))?,
-                    design: string_field(line, "design").ok_or_else(|| bad("missing design"))?,
-                    stage: string_field(line, "stage").ok_or_else(|| bad("missing stage"))?,
-                    median_ms: raw_field(line, "median_ms")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing median_ms"))?,
-                    max_ratio: raw_field(line, "max_ratio")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing max_ratio"))?,
-                }),
-                Some("rate") => baseline.rates.push(RateRule {
-                    tool: string_field(line, "tool").ok_or_else(|| bad("missing tool"))?,
-                    design: string_field(line, "design").ok_or_else(|| bad("missing design"))?,
-                    hits: string_field(line, "hits").ok_or_else(|| bad("missing hits"))?,
-                    total: string_field(line, "total").ok_or_else(|| bad("missing total"))?,
-                    min_rate: raw_field(line, "min_rate")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing min_rate"))?,
-                }),
-                _ => return Err(bad("unknown or missing kind")),
-            }
+            let rule = Object::parse(line).and_then(|o| {
+                match o.str("kind")? {
+                    "stage" => baseline.stages.push(StageRule {
+                        tool: o.str("tool")?.to_string(),
+                        design: o.str("design")?.to_string(),
+                        stage: o.str("stage")?.to_string(),
+                        median_ms: o.f64("median_ms")?,
+                        max_ratio: o.f64("max_ratio")?,
+                    }),
+                    "rate" => baseline.rates.push(RateRule {
+                        tool: o.str("tool")?.to_string(),
+                        design: o.str("design")?.to_string(),
+                        hits: o.str("hits")?.to_string(),
+                        total: o.str("total")?.to_string(),
+                        min_rate: o.f64("min_rate")?,
+                    }),
+                    other => return Err(format!("unknown kind `{other}`")),
+                }
+                Ok(())
+            });
+            rule.map_err(|e| format!("line {}: {e}: {line}", lineno + 1))?;
         }
         Ok(baseline)
     }
@@ -390,6 +384,26 @@ mod tests {
         assert_eq!(back, baseline);
         assert!(Baseline::parse("{\"kind\":\"nope\"}").is_err());
         assert!(Baseline::parse("not json").is_err());
+    }
+
+    #[test]
+    fn committed_baseline_re_renders_to_its_own_rule_lines() {
+        let text = include_str!("../../../results/baseline.json");
+        let rules: String = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(Baseline::parse(text).expect("parses").render(), rules);
+    }
+
+    #[test]
+    fn malformed_rules_name_the_line_and_the_key() {
+        let err =
+            Baseline::parse("\n{\"kind\":\"rate\",\"tool\":\"t\",\"design\":\"*\"}").unwrap_err();
+        assert!(err.starts_with("line 2: missing `hits`"), "{err}");
+        let err = Baseline::parse("{\"kind\":\"stage\",\"tool\":1}").unwrap_err();
+        assert!(err.contains("`tool` must be a string"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Exporters: Chrome trace-event JSON and line-delimited JSONL, plus the
-//! hand-rolled JSON reader that backs [`TraceTree::from_jsonl`].
+//! Exporters: Chrome trace-event JSON and line-delimited JSONL, plus
+//! [`TraceTree::from_jsonl`], which reads the JSONL back through the
+//! workspace's one JSON reader ([`hlsb_findings::Json`]).
 //!
 //! The workspace builds offline, so there is no serde: serialization is
-//! string concatenation with a fixed key order, and parsing is a small
-//! recursive-descent reader. Floats are printed with Rust's `{:?}`
-//! (shortest round-trip), which makes `export → parse → re-export`
-//! byte-identical.
+//! string concatenation with a fixed key order. Floats are printed with
+//! Rust's `{:?}` (shortest round-trip), which makes
+//! `export → parse → re-export` byte-identical.
+
+use hlsb_findings::{json_escape, Json, Object};
 
 use crate::span::{Attr, DecisionEvent, SpanNode};
 use crate::tree::TraceTree;
-use crate::value::{fmt_f64, json_escape, Value};
+use crate::value::{fmt_f64, Value};
 
 // ---------------------------------------------------------------------------
 // Chrome trace-event JSON
@@ -87,15 +89,11 @@ pub fn chrome_trace(runs: &[(&str, &TraceTree)]) -> String {
 // JSONL
 // ---------------------------------------------------------------------------
 
-fn value_json(v: &Value) -> String {
-    v.to_json()
-}
-
 fn attr_json(a: &Attr) -> String {
     format!(
         "[\"{}\",{},{}]",
         json_escape(&a.key),
-        value_json(&a.value),
+        a.value.to_json(),
         a.volatile
     )
 }
@@ -104,7 +102,7 @@ fn event_json(e: &DecisionEvent) -> String {
     let attrs: Vec<String> = e
         .attrs
         .iter()
-        .map(|(k, v)| format!("[\"{}\",{}]", json_escape(k), value_json(v)))
+        .map(|(k, v)| format!("[\"{}\",{}]", json_escape(k), v.to_json()))
         .collect();
     format!(
         "{{\"name\":\"{}\",\"ts_us\":{},\"attrs\":[{}]}}",
@@ -181,22 +179,16 @@ impl TraceTree {
             if line.is_empty() {
                 continue;
             }
-            let json = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let obj = json
-                .as_obj()
-                .ok_or_else(|| format!("line {}: expected an object", lineno + 1))?;
-            let kind = get_str(obj, "type")
-                .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
-            let res = match kind {
-                "span" => parse_span(obj).map(|s| tree.spans.push(s)),
-                "counter" => parse_counter(obj).map(|(name, v)| {
+            let res = Object::parse(line).and_then(|obj| match obj.str("type")? {
+                "span" => parse_span(&obj).map(|s| tree.spans.push(s)),
+                "counter" => parse_counter(&obj).map(|(name, v)| {
                     tree.metrics.counters.insert(name, v);
                 }),
-                "histogram" => parse_histogram(obj).map(|(name, h)| {
+                "histogram" => parse_histogram(&obj).map(|(name, h)| {
                     tree.metrics.histograms.insert(name, h);
                 }),
                 other => Err(format!("unknown record type {other:?}")),
-            };
+            });
             res.map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
         for (i, span) in tree.spans.iter().enumerate() {
@@ -211,114 +203,87 @@ impl TraceTree {
     }
 }
 
-fn parse_span(obj: &[(String, Json)]) -> Result<SpanNode, String> {
+fn parse_span(obj: &Object) -> Result<SpanNode, String> {
     Ok(SpanNode {
-        id: get_u64(obj, "id")? as u32,
-        parent: match get(obj, "parent") {
+        id: parse_u32(obj, "id")?,
+        parent: match obj.get("parent") {
             Some(Json::Null) | None => None,
-            Some(Json::U64(v)) => Some(*v as u32),
-            Some(_) => return Err("\"parent\" must be an id or null".into()),
+            Some(_) => Some(parse_u32(obj, "parent")?),
         },
-        name: get_str(obj, "name").ok_or("missing \"name\"")?.to_string(),
-        track: get_u64(obj, "track")? as u32,
-        start_us: get_f64(obj, "start_us")?,
-        dur_us: get_f64(obj, "dur_us")?,
-        attrs: get_arr(obj, "attrs")?
+        name: obj.str("name")?.to_string(),
+        track: parse_u32(obj, "track")?,
+        start_us: obj.f64("start_us")?,
+        dur_us: obj.f64("dur_us")?,
+        attrs: obj
+            .arr("attrs")?
             .iter()
             .map(parse_attr)
             .collect::<Result<_, _>>()?,
-        events: get_arr(obj, "events")?
+        events: obj
+            .arr("events")?
             .iter()
             .map(parse_event)
             .collect::<Result<_, _>>()?,
     })
 }
 
+fn parse_u32(obj: &Object, key: &str) -> Result<u32, String> {
+    u32::try_from(obj.u64(key)?).map_err(|_| format!("`{key}` out of range"))
+}
+
 fn parse_attr(json: &Json) -> Result<Attr, String> {
-    let arr = json.as_arr().ok_or("attr must be an array")?;
-    if arr.len() != 3 {
-        return Err("attr must be [key, value, volatile]".into());
+    match json.as_arr() {
+        Some([key, value, Json::Bool(volatile)]) => Ok(Attr {
+            key: key.as_str().ok_or("attr key must be a string")?.to_string(),
+            value: to_value(value)?,
+            volatile: *volatile,
+        }),
+        _ => Err("attr must be [key, value, volatile]".into()),
     }
-    Ok(Attr {
-        key: arr[0]
-            .as_str()
-            .ok_or("attr key must be a string")?
-            .to_string(),
-        value: to_value(&arr[1])?,
-        volatile: match &arr[2] {
-            Json::Bool(b) => *b,
-            _ => return Err("attr volatile flag must be a bool".into()),
-        },
-    })
 }
 
 fn parse_event(json: &Json) -> Result<DecisionEvent, String> {
     let obj = json.as_obj().ok_or("event must be an object")?;
     Ok(DecisionEvent {
-        name: get_str(obj, "name")
-            .ok_or("missing event \"name\"")?
-            .to_string(),
-        ts_us: get_f64(obj, "ts_us")?,
-        attrs: get_arr(obj, "attrs")?
+        name: obj.str("name")?.to_string(),
+        ts_us: obj.f64("ts_us")?,
+        attrs: obj
+            .arr("attrs")?
             .iter()
-            .map(|pair| {
-                let arr = pair.as_arr().ok_or("event attr must be an array")?;
-                if arr.len() != 2 {
-                    return Err("event attr must be [key, value]".to_string());
-                }
-                Ok((
-                    arr[0]
-                        .as_str()
-                        .ok_or("event attr key must be a string")?
-                        .to_string(),
-                    to_value(&arr[1])?,
-                ))
+            .map(|pair| match pair.as_arr() {
+                Some([Json::Str(key), value]) => Ok((key.clone(), to_value(value)?)),
+                _ => Err("event attr must be [key, value]".to_string()),
             })
             .collect::<Result<_, _>>()?,
     })
 }
 
-fn parse_counter(obj: &[(String, Json)]) -> Result<(String, u64), String> {
-    Ok((
-        get_str(obj, "name").ok_or("missing \"name\"")?.to_string(),
-        get_u64(obj, "value")?,
-    ))
+fn parse_counter(obj: &Object) -> Result<(String, u64), String> {
+    Ok((obj.str("name")?.to_string(), obj.u64("value")?))
 }
 
-fn parse_histogram(obj: &[(String, Json)]) -> Result<(String, crate::Histogram), String> {
-    let bounds = get_arr(obj, "bounds")?
+fn parse_histogram(obj: &Object) -> Result<(String, crate::Histogram), String> {
+    let bounds = obj
+        .arr("bounds")?
         .iter()
-        .map(|j| {
-            j.as_f64()
-                .ok_or_else(|| "bound must be a number".to_string())
-        })
+        .map(|j| j.as_f64().ok_or("bound must be a number"))
         .collect::<Result<Vec<f64>, _>>()?;
-    let counts = get_arr(obj, "counts")?
+    let counts = obj
+        .arr("counts")?
         .iter()
-        .map(|j| match j {
-            Json::U64(v) => Ok(*v),
-            _ => Err("count must be an unsigned integer".to_string()),
-        })
+        .map(|j| j.as_u64().ok_or("count must be an unsigned integer"))
         .collect::<Result<Vec<u64>, _>>()?;
     // min/max are absent for empty histograms (and in trees written
     // before they were tracked): fall back to the empty sentinels.
-    let min = match get(obj, "min") {
-        Some(j) => j.as_f64().ok_or("min must be a number")?,
-        None => f64::INFINITY,
-    };
-    let max = match get(obj, "max") {
-        Some(j) => j.as_f64().ok_or("max must be a number")?,
-        None => f64::NEG_INFINITY,
-    };
     Ok((
-        get_str(obj, "name").ok_or("missing \"name\"")?.to_string(),
+        obj.str("name")?.to_string(),
         crate::Histogram {
             bounds,
             counts,
-            total: get_u64(obj, "total")?,
-            sum: get_f64(obj, "sum")?,
-            min,
-            max,
+            total: obj.u64("total")?,
+            sum: obj.f64("sum")?,
+            min: obj.opt_f64("min")?.unwrap_or(f64::INFINITY),
+            max: obj.opt_f64("max")?.unwrap_or(f64::NEG_INFINITY),
         },
     ))
 }
@@ -330,282 +295,6 @@ fn to_value(json: &Json) -> Result<Value, String> {
         Json::F64(v) => Ok(Value::F64(*v)),
         Json::Bool(b) => Ok(Value::Bool(*b)),
         _ => Err("attribute values must be scalar".into()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON document. Numbers keep the `U64`/`F64` distinction the
-/// writer guarantees: a token with `.`, `e`, or `E` (or a sign) parses as
-/// `F64`, anything else as `U64`.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    U64(u64),
-    F64(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::U64(v) => Some(*v as f64),
-            Json::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a str> {
-    get(obj, key).and_then(Json::as_str)
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match get(obj, key) {
-        Some(Json::U64(v)) => Ok(*v),
-        _ => Err(format!("missing or non-integer \"{key}\"")),
-    }
-}
-
-fn get_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
-    get(obj, key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric \"{key}\""))
-}
-
-fn get_arr<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a [Json], String> {
-    get(obj, key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array \"{key}\""))
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut reader = Reader {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(format!("trailing data at byte {}", reader.pos));
-    }
-    Ok(value)
-}
-
-impl<'a> Reader<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while self.pos < self.bytes.len()
-                && self.bytes[self.pos] != b'"'
-                && self.bytes[self.pos] != b'\\'
-            {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u code point".to_string())?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        if is_float || token.starts_with('-') {
-            token
-                .parse::<f64>()
-                .map(Json::F64)
-                .map_err(|_| format!("invalid number {token:?}"))
-        } else {
-            token
-                .parse::<u64>()
-                .map(Json::U64)
-                .map_err(|_| format!("invalid number {token:?}"))
-        }
     }
 }
 
@@ -664,29 +353,48 @@ mod tests {
     fn chrome_trace_is_valid_json_with_expected_shapes() {
         let tree = sample();
         let text = chrome_trace(&[("genome+all", &tree)]);
-        let json = parse_json(&text).unwrap();
-        let obj = json.as_obj().unwrap();
-        assert_eq!(get_str(obj, "displayTimeUnit"), Some("ms"));
-        let events = get_arr(obj, "traceEvents").unwrap();
-        let ph = |e: &Json| get_str(e.as_obj().unwrap(), "ph").unwrap().to_string();
+        let obj = Object::parse(&text).unwrap();
+        assert_eq!(obj.str("displayTimeUnit"), Ok("ms"));
+        let events: Vec<&Object> = obj
+            .arr("traceEvents")
+            .unwrap()
+            .iter()
+            .map(|e| e.as_obj().unwrap())
+            .collect();
+        let ph = |e: &Object| e.str("ph").unwrap().to_string();
         assert!(events.iter().any(|e| ph(e) == "M"));
         assert_eq!(events.iter().filter(|e| ph(e) == "X").count(), 3);
         assert_eq!(events.iter().filter(|e| ph(e) == "i").count(), 1);
         // The trial span sits on its own track.
         let trial = events
             .iter()
-            .find(|e| get_str(e.as_obj().unwrap(), "name") == Some("trial-0") && ph(e) == "X")
+            .find(|e| e.str("name") == Ok("trial-0") && ph(e) == "X")
             .unwrap();
-        assert_eq!(get_u64(trial.as_obj().unwrap(), "tid").unwrap(), 1);
+        assert_eq!(trial.u64("tid"), Ok(1));
     }
 
     #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let json = parse_json("{\"s\":\"a\\n\\u0041\",\"n\":-1.5,\"u\":7}").unwrap();
-        let obj = json.as_obj().unwrap();
-        assert_eq!(get_str(obj, "s"), Some("a\nA"));
-        assert_eq!(get(obj, "n"), Some(&Json::F64(-1.5)));
-        assert_eq!(get(obj, "u"), Some(&Json::U64(7)));
-        assert!(parse_json("{\"a\":1}extra").is_err());
+    fn golden_jsonl_parses_and_re_renders_identically() {
+        // Written by the exporter before the reader moved to
+        // `hlsb-findings`: a comma, brace and quote inside a string, both
+        // number kinds, an empty span and one of each metric record.
+        let text = "\
+{\"type\":\"span\",\"id\":0,\"parent\":null,\"name\":\"flow\",\"track\":0,\"start_us\":0.0,\"dur_us\":12.5,\"attrs\":[[\"design\",\"g,{\\\"x\\\"}\",false],[\"hits\",2,true]],\"events\":[{\"name\":\"split\",\"ts_us\":1.25,\"attrs\":[[\"cut\",5],[\"excess-ns\",0.125]]}]}
+{\"type\":\"span\",\"id\":1,\"parent\":0,\"name\":\"trial-0\",\"track\":1,\"start_us\":2.0,\"dur_us\":3.0,\"attrs\":[],\"events\":[]}
+{\"type\":\"counter\",\"name\":\"decisions.split\",\"value\":1}
+{\"type\":\"histogram\",\"name\":\"slack-ns\",\"bounds\":[0.0,0.5],\"counts\":[0,1,0],\"total\":1,\"sum\":0.25,\"min\":0.25,\"max\":0.25}
+";
+        let tree = TraceTree::from_jsonl(text).unwrap();
+        assert_eq!(tree.spans[0].attrs[0].value, Value::Str("g,{\"x\"}".into()));
+        assert_eq!(tree.spans[1].parent, Some(0));
+        assert_eq!(tree.metrics.counters["decisions.split"], 1);
+        assert_eq!(tree.to_jsonl(), text);
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_crash() {
+        let line = format!("{{\"type\":\"span\",\"attrs\":{}}}", "[".repeat(200_000));
+        let err = TraceTree::from_jsonl(&line).unwrap_err();
+        assert!(err.starts_with("line 1: nesting deeper than"), "{err}");
     }
 }

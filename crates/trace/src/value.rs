@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use hlsb_findings::json_escape;
+
 /// A typed span/event attribute value.
 ///
 /// The variants are chosen so the JSON encoding is unambiguous: a number
@@ -117,23 +119,6 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,10 +143,5 @@ mod tests {
         assert_eq!(Value::U64(5).as_u64(), Some(5));
         assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
         assert_eq!(Value::Bool(false).as_u64(), None);
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(json_escape("a\nb\t\u{1}"), "a\\nb\\t\\u0001");
     }
 }
