@@ -67,32 +67,70 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
 /// Table-1 set — parameterized structures the paper analyzes but does
 /// not benchmark as a whole application.
 pub fn synthetic_benchmarks() -> Vec<Benchmark> {
-    vec![Benchmark {
+    vec![dot_scale()]
+}
+
+fn dot_scale() -> Benchmark {
+    Benchmark {
         name: "dot-scale 512",
         broadcast_type: "Pipe. Ctrl.",
         design: vector_arith::dot_scale_pipeline(512),
         device: Device::ultrascale_plus_vu9p(),
         clock_mhz: 333.0,
-    }]
+    }
 }
 
+/// `(display name, design name, constructor)` of one resolvable benchmark.
+type CatalogEntry = (&'static str, &'static str, fn() -> Benchmark);
+
+/// Every benchmark [`find_benchmark`] resolves, in search order (the
+/// Table-1 set, then [`synthetic_benchmarks`]), as `(display name, design
+/// name, constructor)`: the names are matched here, so a lookup builds
+/// only the benchmark it returns.
+const CATALOG: [CatalogEntry; 10] = [
+    ("Genome Sequencing", "genome_chaining", genome::benchmark),
+    ("LSTM Network", "lstm_gate", lstm::benchmark),
+    ("Face Detection", "face_detect", face_detect::benchmark),
+    ("Matrix Multiply", "matmul", matmul::benchmark),
+    ("Stream Buffer", "stream_buffer", stream_buffer::benchmark),
+    ("Stencil", "jacobi_pipeline", stencil::benchmark),
+    (
+        "Vector Arithmetic",
+        "vector_product",
+        vector_arith::benchmark,
+    ),
+    (
+        "HBM-Based Stencil",
+        "hbm_stencil_scatter",
+        hbm_stencil::benchmark,
+    ),
+    (
+        "Pattern Matching",
+        "pattern_match",
+        pattern_match::benchmark,
+    ),
+    ("dot-scale 512", "dot_scale", dot_scale),
+];
+
 /// Resolves a benchmark by case-insensitive substring over the Table-1
-/// set plus [`synthetic_benchmarks`]. Non-alphanumerics are ignored on
-/// both sides, so `dotscale` matches "dot-scale 512" and `vector`
-/// matches "Vector Product". Both the display name and the design name
-/// are searched.
+/// set plus [`synthetic_benchmarks`]; the first match wins.
+/// Non-alphanumerics are ignored on both sides, so `dotscale` matches
+/// "dot-scale 512" and `vector` matches the "vector_product" design. Both
+/// the display name and the design name are searched.
 pub fn find_benchmark(pattern: &str) -> Option<Benchmark> {
-    fn norm(s: &str) -> String {
-        s.chars()
-            .filter(char::is_ascii_alphanumeric)
-            .map(|c| c.to_ascii_lowercase())
-            .collect()
-    }
     let needle = norm(pattern);
-    all_benchmarks()
-        .into_iter()
-        .chain(synthetic_benchmarks())
-        .find(|b| norm(b.name).contains(&needle) || norm(&b.design.name).contains(&needle))
+    CATALOG
+        .iter()
+        .find(|(name, design, _)| norm(name).contains(&needle) || norm(design).contains(&needle))
+        .map(|(_, _, build)| build())
+}
+
+/// Lowercase ASCII alphanumerics of `s`: the form names are matched in.
+fn norm(s: &str) -> String {
+    s.chars()
+        .filter(char::is_ascii_alphanumeric)
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
 }
 
 #[cfg(test)]
@@ -109,6 +147,60 @@ mod tests {
             assert!(b.clock_mhz > 100.0);
             assert!(b.design.inst_count() > 0, "{} is empty", b.name);
         }
+    }
+
+    #[test]
+    fn catalog_names_match_the_built_benchmarks_in_order() {
+        let built: Vec<Benchmark> = all_benchmarks()
+            .into_iter()
+            .chain(synthetic_benchmarks())
+            .collect();
+        assert_eq!(built.len(), CATALOG.len());
+        for (b, (name, design, build)) in built.iter().zip(CATALOG) {
+            assert_eq!((b.name, b.design.name.as_str()), (name, design));
+            assert_eq!(build().design.name, b.design.name);
+        }
+    }
+
+    #[test]
+    fn lookup_resolves_as_a_search_over_every_built_benchmark() {
+        // The search `find_benchmark` replaced: build everything, then
+        // take the first match.
+        fn oracle(pattern: &str) -> Option<&'static str> {
+            let needle = norm(pattern);
+            all_benchmarks()
+                .into_iter()
+                .chain(synthetic_benchmarks())
+                .find(|b| norm(b.name).contains(&needle) || norm(&b.design.name).contains(&needle))
+                .map(|b| b.name)
+        }
+        let mut patterns = vec![
+            "vector",
+            "dotscale",
+            "stencil",
+            "hbm",
+            "Stencil",
+            "dot-scale 512",
+            "GENOME",
+            "nope",
+        ];
+        patterns.extend(
+            CATALOG
+                .iter()
+                .flat_map(|(name, design, _)| [*name, *design]),
+        );
+        for p in patterns {
+            let got = find_benchmark(p);
+            assert_eq!(got.as_ref().map(|b| b.name), oracle(p), "{p}");
+            if let Some(b) = got {
+                let (_, design, _) = CATALOG.iter().find(|(n, ..)| *n == b.name).unwrap();
+                assert_eq!(b.design.name, *design, "{p}");
+            }
+        }
+        assert_eq!(find_benchmark("hbm").unwrap().name, "HBM-Based Stencil");
+        assert_eq!(find_benchmark("stencil").unwrap().name, "Stencil");
+        assert_eq!(find_benchmark("vector").unwrap().name, "Vector Arithmetic");
+        assert_eq!(find_benchmark("dotscale").unwrap().name, "dot-scale 512");
     }
 
     #[test]

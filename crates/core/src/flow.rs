@@ -614,4 +614,22 @@ mod tests {
         let err = Flow::new(d).run().unwrap_err();
         assert!(matches!(err, FlowError::DoesNotFit { .. }), "{err}");
     }
+
+    #[test]
+    fn more_dsp_cells_than_dsp_sites_reports_does_not_fit() {
+        // 1024 lanes need about 5300 of the VU9P's 6840 DSPs, but 2078 DSP
+        // cells and the grid has 14 DSP columns x 120 rows = 1680 DSP
+        // sites: the placer would run out of sites, so lowering refuses.
+        let d = hlsb_benchmarks::vector_arith::design(1024, 4);
+        let err = Flow::new(d)
+            .device(Device::ultrascale_plus_vu9p())
+            .run()
+            .unwrap_err();
+        match err {
+            FlowError::DoesNotFit { what } => {
+                assert_eq!(what, "2078 DSP cells exceed the 1680 DSP sites")
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
 }

@@ -26,7 +26,7 @@ use hlsb_fabric::{Device, WireModel};
 use hlsb_netlist::{CellId, Netlist, Subgraph};
 use hlsb_place::{
     auto_islands, max_islands, partition, place_in_region, place_with, reserve_regions,
-    stitch_crossings, AnnealConfig, Placement, Region,
+    site_shortfall, stitch_crossings, AnnealConfig, Placement, Region,
 };
 use hlsb_timing::{
     fanout_opt::FanoutOptReport, optimize_fanout, refine_critical, retime, retime::RetimeReport,
@@ -181,7 +181,10 @@ struct PartitionPlan {
 
 /// Decides whether (and how) to partition. Returns `None` — flat
 /// placement — when partitioning is off, the design resolves to fewer
-/// than two islands, or the device cannot host the reserved regions. The
+/// than two islands, or the device cannot host the reserved regions
+/// (including an island with more cells of a kind than its region has
+/// legal sites for, e.g. a DSP-heavy island in a strip of few DSP
+/// columns). The
 /// decision is a pure function of `(netlist, device, partitions, seams)`,
 /// never of the thread count.
 fn plan_partition(
@@ -226,6 +229,13 @@ fn plan_partition(
         .iter()
         .map(|cells| stitched.subgraph(cells))
         .collect();
+    if subs
+        .iter()
+        .zip(&regions)
+        .any(|(sub, &region)| site_shortfall(&sub.netlist, region).is_some())
+    {
+        return None;
+    }
     Some(PartitionPlan {
         netlist: stitched,
         subs,
@@ -583,4 +593,39 @@ pub(crate) fn run(
     summaries.sort_by_key(|s| s.idx);
     let best = best.expect("at least one placement trial");
     (best.out, summaries, best.idx, None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hlsb_netlist::Cell;
+
+    /// Two disconnected islands: a register fanning out to `dsps` DSP
+    /// cells, and a register fanning out to 3000 logic cells.
+    fn two_islands(dsps: usize) -> Netlist {
+        let mut nl = Netlist::new("islands");
+        let a = nl.add_cell(Cell::ff("a", 32));
+        let sinks: Vec<_> = (0..dsps)
+            .map(|i| nl.add_cell(Cell::dsp(format!("d{i}"), 32, 2.0, 1)))
+            .collect();
+        nl.connect(a, &sinks);
+        let b = nl.add_cell(Cell::ff("b", 32));
+        let sinks: Vec<_> = (0..3000)
+            .map(|i| nl.add_cell(Cell::comb(format!("c{i}"), 32, 0.3, 32)))
+            .collect();
+        nl.connect(b, &sinks);
+        nl
+    }
+
+    #[test]
+    fn island_with_more_dsps_than_its_strip_falls_back_to_flat() {
+        // The DSP island gets a 12-column strip holding one DSP column of
+        // 120 rows: 100 DSP cells fit it, 300 do not (the flat grid has
+        // 1680 DSP sites, so flat placement still works).
+        let device = Device::ultrascale_plus_vu9p();
+        let fits = plan_partition(&two_islands(100), &device, Partitioning::Fixed(2), &[])
+            .expect("100 DSP cells fit the strip");
+        assert_eq!(fits.regions[0].w, 12);
+        assert!(plan_partition(&two_islands(300), &device, Partitioning::Fixed(2), &[]).is_none());
+    }
 }

@@ -4,7 +4,8 @@
 use hlsb_delay::HlsPredictedModel;
 use hlsb_fabric::Device;
 use hlsb_ir::Design;
-use hlsb_netlist::Netlist;
+use hlsb_netlist::{CellKind, Netlist};
+use hlsb_place::{site_shortfall, Region};
 use hlsb_rtlgen::{lower_design, ControlStyle, LowerInfo, RtlOptions, ScheduledDesign};
 
 use crate::error::FlowError;
@@ -68,6 +69,19 @@ pub(crate) fn run(
                 what: format!("{name}: {used} needed, {cap} available"),
             });
         }
+    }
+    // The placer gives every cell a legal site of its own, and a device's
+    // resource totals can exceed its site grid (VU9P: 6840 DSPs, 1680 DSP
+    // sites), so check the sites too.
+    if let Some((kind, cells, sites)) = site_shortfall(&netlist, Region::full(device)) {
+        let class = match kind {
+            CellKind::Bram => "BRAM",
+            CellKind::Dsp => "DSP",
+            _ => "logic",
+        };
+        return Err(FlowError::DoesNotFit {
+            what: format!("{cells} {class} cells exceed the {sites} {class} sites"),
+        });
     }
     let site_budget = u64::from(device.grid_w) * u64::from(device.grid_h) / 2;
     if netlist.cell_count() as u64 >= site_budget {

@@ -72,13 +72,25 @@ impl WireModel {
     /// Delay of a net in nanoseconds given the driver-to-farthest-sink
     /// Manhattan distance (grid units) and the net's fanout.
     pub fn net_delay_ns(&self, dist_units: f64, fanout: usize) -> f64 {
-        debug_assert!(dist_units >= 0.0);
+        self.net_delay_with(dist_units, self.fanout_terms(fanout))
+    }
+
+    /// The fanout-dependent terms of [`WireModel::net_delay_ns`],
+    /// `(k_fanout * ln(1 + fanout), c_sink * (fanout - 1))`. They do not
+    /// depend on placement, so a timing graph computes them once per net.
+    pub fn fanout_terms(&self, fanout: usize) -> (f64, f64) {
         let fo = fanout.max(1) as f64;
-        self.speed
-            * (self.base_ns
-                + self.r_dist_ns * dist_units
-                + self.k_fanout_ns * (1.0 + fo).ln()
-                + self.c_sink_ns * (fo - 1.0))
+        (
+            self.k_fanout_ns * (1.0 + fo).ln(),
+            self.c_sink_ns * (fo - 1.0),
+        )
+    }
+
+    /// [`WireModel::net_delay_ns`] with its fanout terms precomputed by
+    /// [`WireModel::fanout_terms`]; the sum is the same, bit for bit.
+    pub fn net_delay_with(&self, dist_units: f64, (log_ns, sink_ns): (f64, f64)) -> f64 {
+        debug_assert!(dist_units >= 0.0);
+        self.speed * (self.base_ns + self.r_dist_ns * dist_units + log_ns + sink_ns)
     }
 
     /// The sink-spread radius (grid units) the *characterization* skeleton

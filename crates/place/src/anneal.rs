@@ -9,7 +9,7 @@
 //! bit-identical to what the pre-partitioning placer produced.
 
 use crate::placement::{Placement, Region};
-use crate::sites::{site_legal, snap_column_in};
+use crate::sites::{site_legal, site_shortfall, snap_column_in};
 use hlsb_fabric::Device;
 use hlsb_netlist::{CellId, CellKind, Netlist};
 use hlsb_rng::Rng;
@@ -48,7 +48,7 @@ impl Default for AnnealConfig {
 /// # Panics
 ///
 /// Panics if the netlist has more cells than the device has sites of the
-/// required kinds.
+/// required kinds (see [`crate::sites::site_shortfall`]).
 pub fn place(netlist: &Netlist, device: &Device, seed: u64) -> Placement {
     place_with(netlist, device, seed, AnnealConfig::default())
 }
@@ -57,7 +57,8 @@ pub fn place(netlist: &Netlist, device: &Device, seed: u64) -> Placement {
 ///
 /// # Panics
 ///
-/// Panics if the netlist does not fit on the device grid.
+/// Panics if the netlist does not fit on the device grid: more cells than
+/// half its sites, or more cells of a kind than its legal sites.
 pub fn place_with(
     netlist: &Netlist,
     device: &Device,
@@ -86,8 +87,9 @@ pub fn place_with(
 /// # Panics
 ///
 /// Panics if the netlist does not fit in the region (the same one-cell-
-/// per-two-sites margin the flat placer requires of the whole device),
-/// or if the region leaves the device grid.
+/// per-two-sites margin the flat placer requires of the whole device, and
+/// no more cells of a kind than the region has legal sites for it), or if
+/// the region leaves the device grid.
 pub fn place_in_region(
     netlist: &Netlist,
     device: &Device,
@@ -127,18 +129,61 @@ fn place_impl(
     let rw = side.max(8).min(bounds.w);
     let rh = side.max(8).min(bounds.h);
 
-    let mut occupied: HashMap<(u16, u16), CellId> = HashMap::with_capacity(n * 2);
-    let mut placement = seed_placement(netlist, device, bounds, rw, rh, &mut occupied);
+    if let Some((kind, cells, sites)) = site_shortfall(netlist, bounds) {
+        panic!("{cells} {kind:?} cells exceed the {sites} legal sites of {bounds:?}");
+    }
+    let mut occupied = Occupancy::new(bounds);
+    let mut placement = seed_placement(netlist, device, rw, rh, &mut occupied);
     anneal(
         netlist,
         &mut placement,
         &mut occupied,
-        bounds,
         rw.max(rh),
         seed,
         config,
     );
     placement
+}
+
+/// Which cell occupies each site of a placement region: a dense
+/// row-major grid over the region, one slot per site.
+struct Occupancy {
+    bounds: Region,
+    slots: Vec<u32>,
+}
+
+impl Occupancy {
+    /// Slot value of a free site.
+    const FREE: u32 = u32::MAX;
+
+    fn new(bounds: Region) -> Self {
+        Occupancy {
+            bounds,
+            slots: vec![Self::FREE; bounds.sites() as usize],
+        }
+    }
+
+    fn slot(&self, (x, y): (u16, u16)) -> usize {
+        debug_assert!(self.bounds.contains((x, y)));
+        usize::from(y - self.bounds.y0) * usize::from(self.bounds.w)
+            + usize::from(x - self.bounds.x0)
+    }
+
+    /// The cell at `loc`, if any.
+    fn get(&self, loc: (u16, u16)) -> Option<CellId> {
+        let c = self.slots[self.slot(loc)];
+        (c != Self::FREE).then_some(CellId(c))
+    }
+
+    fn set(&mut self, loc: (u16, u16), cell: CellId) {
+        let i = self.slot(loc);
+        self.slots[i] = cell.0;
+    }
+
+    fn clear(&mut self, loc: (u16, u16)) {
+        let i = self.slot(loc);
+        self.slots[i] = Self::FREE;
+    }
 }
 
 /// Dataflow levels by construction order: `level(c) = max(level(d) + 1)`
@@ -163,11 +208,11 @@ fn levels(netlist: &Netlist) -> Vec<u32> {
 fn seed_placement(
     netlist: &Netlist,
     device: &Device,
-    bounds: Region,
     rw: u16,
     rh: u16,
-    occupied: &mut HashMap<(u16, u16), CellId>,
+    occupied: &mut Occupancy,
 ) -> Placement {
+    let bounds = occupied.bounds;
     let level = levels(netlist);
     let max_level = level.iter().copied().max().unwrap_or(0).max(1);
     let n = netlist.cell_count();
@@ -191,42 +236,49 @@ fn seed_placement(
         for (i, &c) in cells.iter().enumerate() {
             let y = bounds.y0 + (((i as f64 + 0.5) / count) * f64::from(rh)) as u16;
             let want = (x, y.min(bounds.y1() - 1));
-            let loc = free_site_near(netlist.cell(c).kind, want, bounds, occupied);
-            occupied.insert(loc, c);
+            let loc = free_site_near(netlist.cell(c).kind, want, occupied);
+            occupied.set(loc, c);
             locs[c.index()] = loc;
         }
     }
     Placement::from_locs(locs, device.grid_w, device.grid_h)
 }
 
-/// Finds the nearest free legal site to `want` within `bounds` (spiral
-/// probe).
-fn free_site_near(
-    kind: CellKind,
-    want: (u16, u16),
-    bounds: Region,
-    occupied: &HashMap<(u16, u16), CellId>,
-) -> (u16, u16) {
-    let (wx, wy) = want;
+/// Finds the nearest free legal site to `want` within the occupancy
+/// grid's region: ring `r` holds the sites at Chebyshev distance `r`, and
+/// rings are searched outward, each in row order (`dy` ascending, then
+/// `dx` ascending). Only the `8r` sites of a ring are visited, clipped to
+/// the region.
+///
+/// # Panics
+///
+/// Panics if the region has no free legal site for `kind`, which
+/// `place_impl` rules out by checking `site_shortfall` first.
+fn free_site_near(kind: CellKind, want: (u16, u16), occupied: &Occupancy) -> (u16, u16) {
+    let bounds = occupied.bounds;
+    let (wx, wy) = (i32::from(want.0), i32::from(want.1));
+    let (x0, x1) = (i32::from(bounds.x0), i32::from(bounds.x1()));
+    let (y0, y1) = (i32::from(bounds.y0), i32::from(bounds.y1()));
+    let free = |x: i32, y: i32| {
+        let loc = (x as u16, y as u16);
+        site_legal(kind, loc.0) && occupied.get(loc).is_none()
+    };
     for radius in 0..bounds.w.max(bounds.h) {
         let r = i32::from(radius);
-        for dy in -r..=r {
-            for dx in -r..=r {
-                if dx.abs().max(dy.abs()) != r {
-                    continue; // ring only
+        for dy in (-r).max(y0 - wy)..=r.min(y1 - 1 - wy) {
+            let y = wy + dy;
+            if dy == -r || dy == r {
+                // Top or bottom edge of the ring: the whole clipped row.
+                for x in (wx - r).max(x0)..=(wx + r).min(x1 - 1) {
+                    if free(x, y) {
+                        return (x as u16, y as u16);
+                    }
                 }
-                let x = i32::from(wx) + dx;
-                let y = i32::from(wy) + dy;
-                if x < i32::from(bounds.x0)
-                    || y < i32::from(bounds.y0)
-                    || x >= i32::from(bounds.x1())
-                    || y >= i32::from(bounds.y1())
-                {
-                    continue;
-                }
-                let loc = (x as u16, y as u16);
-                if site_legal(kind, loc.0) && !occupied.contains_key(&loc) {
-                    return loc;
+            } else {
+                for x in [wx - r, wx + r] {
+                    if x >= x0 && x < x1 && free(x, y) {
+                        return (x as u16, y as u16);
+                    }
                 }
             }
         }
@@ -255,12 +307,12 @@ fn adjacent_cost(netlist: &Netlist, placement: &Placement, cell: CellId) -> f64 
 fn anneal(
     netlist: &Netlist,
     placement: &mut Placement,
-    occupied: &mut HashMap<(u16, u16), CellId>,
-    bounds: Region,
+    occupied: &mut Occupancy,
     region: u16,
     seed: u64,
     config: AnnealConfig,
 ) {
+    let bounds = occupied.bounds;
     let n = netlist.cell_count();
     if n < 2 {
         return;
@@ -293,7 +345,7 @@ fn anneal(
                 continue;
             }
 
-            let other = occupied.get(&target).copied();
+            let other = occupied.get(target);
             if let Some(b) = other {
                 // Swap legality: b must be allowed at a's site.
                 if !site_legal(netlist.cell(b).kind, ax) {
@@ -307,8 +359,8 @@ fn anneal(
                     adjacent_cost(netlist, placement, a) + adjacent_cost(netlist, placement, b);
                 let delta = after - before;
                 if delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp() {
-                    occupied.insert(target, a);
-                    occupied.insert((ax, ay), b);
+                    occupied.set(target, a);
+                    occupied.set((ax, ay), b);
                 } else {
                     placement.set_loc(a, (ax, ay));
                     placement.set_loc(b, target);
@@ -319,8 +371,8 @@ fn anneal(
                 let after = adjacent_cost(netlist, placement, a);
                 let delta = after - before;
                 if delta <= 0.0 || rng.gen_f64() < (-delta / temp).exp() {
-                    occupied.remove(&(ax, ay));
-                    occupied.insert(target, a);
+                    occupied.clear((ax, ay));
+                    occupied.set(target, a);
                 } else {
                     placement.set_loc(a, (ax, ay));
                 }
@@ -330,7 +382,7 @@ fn anneal(
         window = (window * 0.93).max(2.0);
     }
 
-    polish(netlist, placement, occupied, bounds);
+    polish(netlist, placement, occupied);
 }
 
 /// Zero-temperature polish: every cell is offered its neighbourhood-median
@@ -338,12 +390,8 @@ fn anneal(
 /// occupant — is taken when total adjacent wirelength drops. This kills
 /// the distance *outliers* annealing leaves behind, which otherwise set
 /// the critical path of deep pipelines.
-fn polish(
-    netlist: &Netlist,
-    placement: &mut Placement,
-    occupied: &mut HashMap<(u16, u16), CellId>,
-    bounds: Region,
-) {
+fn polish(netlist: &Netlist, placement: &mut Placement, occupied: &mut Occupancy) {
+    let bounds = occupied.bounds;
     for _sweep in 0..3 {
         let mut improved = false;
         for (a, cell) in netlist.cells() {
@@ -354,14 +402,14 @@ fn polish(
             if target == old {
                 continue;
             }
-            match occupied.get(&target).copied() {
+            match occupied.get(target) {
                 None => {
                     let before = adjacent_cost(netlist, placement, a);
                     placement.set_loc(a, target);
                     let after = adjacent_cost(netlist, placement, a);
                     if after < before {
-                        occupied.remove(&old);
-                        occupied.insert(target, a);
+                        occupied.clear(old);
+                        occupied.set(target, a);
                         improved = true;
                     } else {
                         placement.set_loc(a, old);
@@ -378,8 +426,8 @@ fn polish(
                     let after =
                         adjacent_cost(netlist, placement, a) + adjacent_cost(netlist, placement, b);
                     if after < before {
-                        occupied.insert(target, a);
-                        occupied.insert(old, b);
+                        occupied.set(target, a);
+                        occupied.set(old, b);
                         improved = true;
                     } else {
                         placement.set_loc(a, old);
@@ -445,6 +493,144 @@ mod tests {
             prev = c;
         }
         nl
+    }
+
+    /// The spiral search the ring walk replaced, kept verbatim (over a
+    /// `HashMap` occupancy) as the reference it must reproduce; `None`
+    /// where the old search panicked.
+    fn spiral_oracle(
+        kind: CellKind,
+        want: (u16, u16),
+        bounds: Region,
+        occupied: &HashMap<(u16, u16), CellId>,
+    ) -> Option<(u16, u16)> {
+        let (wx, wy) = want;
+        for radius in 0..bounds.w.max(bounds.h) {
+            let r = i32::from(radius);
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    if dx.abs().max(dy.abs()) != r {
+                        continue; // ring only
+                    }
+                    let x = i32::from(wx) + dx;
+                    let y = i32::from(wy) + dy;
+                    if x < i32::from(bounds.x0)
+                        || y < i32::from(bounds.y0)
+                        || x >= i32::from(bounds.x1())
+                        || y >= i32::from(bounds.y1())
+                    {
+                        continue;
+                    }
+                    let loc = (x as u16, y as u16);
+                    if site_legal(kind, loc.0) && !occupied.contains_key(&loc) {
+                        return Some(loc);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn ring_walk_matches_spiral_oracle() {
+        const KINDS: [CellKind; 7] = [
+            CellKind::Ff,
+            CellKind::Comb,
+            CellKind::Dsp,
+            CellKind::Bram,
+            CellKind::Input,
+            CellKind::Output,
+            CellKind::Const,
+        ];
+        let vu9p = Device::ultrascale_plus_vu9p();
+        let zc706 = Device::zynq_zc706();
+        let regions = [
+            Region::full(&vu9p),
+            Region::full(&zc706),
+            // Partition strips: the narrowest legal width at an odd
+            // offset, and a wider strip away from the origin.
+            Region {
+                x0: 7,
+                y0: 0,
+                w: 12,
+                h: 120,
+            },
+            Region {
+                x0: 40,
+                y0: 10,
+                w: 24,
+                h: 60,
+            },
+            Region {
+                x0: 3,
+                y0: 5,
+                w: 5,
+                h: 3,
+            },
+        ];
+        let mut rng = Rng::seed_from_u64(29);
+        for bounds in regions {
+            for density in [0.0, 0.3, 0.9, 0.995, 1.0] {
+                let mut grid = Occupancy::new(bounds);
+                let mut map = HashMap::new();
+                let mut next = 0u32;
+                for y in bounds.y0..bounds.y1() {
+                    for x in bounds.x0..bounds.x1() {
+                        if rng.gen_f64() < density {
+                            grid.set((x, y), CellId(next));
+                            map.insert((x, y), CellId(next));
+                            next += 1;
+                        }
+                    }
+                }
+                for q in 0..40 {
+                    let kind = KINDS[rng.gen_index(KINDS.len())];
+                    // A quarter of the wants sit on the region's edges and
+                    // corners, where rings are clipped.
+                    let want = if q % 4 == 0 {
+                        let x = [bounds.x0, bounds.x1() - 1][rng.gen_index(2)];
+                        let y = [bounds.y0, bounds.y1() - 1][rng.gen_index(2)];
+                        if rng.gen_bool(0.5) {
+                            (x, bounds.y0 + rng.gen_index(bounds.h.into()) as u16)
+                        } else {
+                            (bounds.x0 + rng.gen_index(bounds.w.into()) as u16, y)
+                        }
+                    } else {
+                        (
+                            bounds.x0 + rng.gen_index(bounds.w.into()) as u16,
+                            bounds.y0 + rng.gen_index(bounds.h.into()) as u16,
+                        )
+                    };
+                    let what = format!("{kind:?} at {want:?} in {bounds:?}, density {density}");
+                    match spiral_oracle(kind, want, bounds, &map) {
+                        Some(loc) => assert_eq!(free_site_near(kind, want, &grid), loc, "{what}"),
+                        None => {
+                            let walk =
+                                std::panic::catch_unwind(|| free_site_near(kind, want, &grid));
+                            assert!(walk.is_err(), "{what}: found {walk:?}, oracle found none");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn too_many_dsp_cells_panic_before_placing() {
+        // VU9P has 14 DSP columns of 120 rows: 1680 DSP sites.
+        let mut nl = Netlist::new("dsps");
+        let src = nl.add_cell(Cell::ff("src", 32));
+        let dsps: Vec<_> = (0..1681)
+            .map(|i| nl.add_cell(Cell::dsp(format!("d{i}"), 32, 2.0, 1)))
+            .collect();
+        nl.connect(src, &dsps);
+        let d = Device::ultrascale_plus_vu9p();
+        let err = std::panic::catch_unwind(|| place(&nl, &d, 1)).expect_err("cannot fit");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("1681 Dsp cells exceed the 1680 legal sites"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -51,4 +51,4 @@ pub use partition::{
     Partition, MIN_REGION_W,
 };
 pub use placement::{Placement, Region};
-pub use sites::{site_legal, snap_column_in};
+pub use sites::{site_legal, site_shortfall, snap_column_in};

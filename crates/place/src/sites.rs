@@ -4,7 +4,8 @@
 //! go anywhere else. Forcing memories and multipliers into columns is part
 //! of why large buffers scatter physically (paper §3.1, example #2).
 
-use hlsb_netlist::CellKind;
+use crate::placement::Region;
+use hlsb_netlist::{CellKind, Netlist};
 
 /// Column period of BRAM columns (one in every `BRAM_COL_PERIOD` columns).
 pub const BRAM_COL_PERIOD: u16 = 10;
@@ -23,6 +24,43 @@ pub fn site_legal(kind: CellKind, x: u16) -> bool {
         // Logic, registers, ports and constants can go anywhere outside
         // the dedicated columns.
         _ => x % BRAM_COL_PERIOD != BRAM_COL_OFFSET && x % DSP_COL_PERIOD != DSP_COL_OFFSET,
+    }
+}
+
+/// Number of sites in `region` where a cell of `kind` may be placed: its
+/// legal columns times the region's rows.
+pub fn legal_sites(kind: CellKind, region: Region) -> u64 {
+    let cols = (region.x0..region.x1())
+        .filter(|&x| site_legal(kind, x))
+        .count();
+    cols as u64 * u64::from(region.h)
+}
+
+/// The first site class whose cells outnumber their legal sites in
+/// `region`, as `(kind, cells, sites)`, checked in the order BRAM, DSP,
+/// logic; `None` when every cell can have a site of its own. BRAM and DSP
+/// cells own their columns, and every other kind shares the remaining
+/// columns, so logic is counted together and reported as
+/// [`CellKind::Comb`]. A netlist that passes never makes the placer run
+/// out of sites.
+pub fn site_shortfall(netlist: &Netlist, region: Region) -> Option<(CellKind, u64, u64)> {
+    let mut cells = [0u64; 3];
+    for (_, cell) in netlist.cells() {
+        cells[site_class(cell.kind)] += 1;
+    }
+    [CellKind::Bram, CellKind::Dsp, CellKind::Comb]
+        .into_iter()
+        .zip(cells)
+        .map(|(kind, n)| (kind, n, legal_sites(kind, region)))
+        .find(|&(_, n, sites)| n > sites)
+}
+
+/// Index of a kind's site class: BRAM, DSP or logic.
+fn site_class(kind: CellKind) -> usize {
+    match kind {
+        CellKind::Bram => 0,
+        CellKind::Dsp => 1,
+        _ => 2,
     }
 }
 
@@ -111,6 +149,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn legal_sites_count_columns_times_rows() {
+        let vu9p = Region::full(&hlsb_fabric::Device::ultrascale_plus_vu9p());
+        assert_eq!(legal_sites(CellKind::Dsp, vu9p), 14 * 120);
+        assert_eq!(legal_sites(CellKind::Bram, vu9p), 14 * 120);
+        assert_eq!(legal_sites(CellKind::Ff, vu9p), (140 - 28) * 120);
+        let strip = Region {
+            x0: 7,
+            y0: 3,
+            w: 12,
+            h: 10,
+        };
+        // Columns 7..19 hold DSP column 8 and 18, BRAM column 14.
+        assert_eq!(legal_sites(CellKind::Dsp, strip), 20);
+        assert_eq!(legal_sites(CellKind::Bram, strip), 10);
+        assert_eq!(legal_sites(CellKind::Comb, strip), 90);
+    }
+
+    #[test]
+    fn shortfall_names_the_first_overfull_class() {
+        use hlsb_netlist::Cell;
+        let strip = Region {
+            x0: 0,
+            y0: 0,
+            w: 10,
+            h: 2,
+        };
+        let mut nl = Netlist::new("k");
+        for i in 0..2 {
+            nl.add_cell(Cell::dsp(format!("d{i}"), 8, 1.0, 1));
+        }
+        assert_eq!(site_shortfall(&nl, strip), None);
+        nl.add_cell(Cell::dsp("d2", 8, 1.0, 1));
+        assert_eq!(site_shortfall(&nl, strip), Some((CellKind::Dsp, 3, 2)));
+        for i in 0..17 {
+            nl.add_cell(Cell::ff(format!("f{i}"), 8));
+        }
+        assert_eq!(site_shortfall(&nl, strip), Some((CellKind::Dsp, 3, 2)));
+        nl.add_cell(Cell::bram("b0", 8, 1));
+        nl.add_cell(Cell::bram("b1", 8, 1));
+        nl.add_cell(Cell::bram("b2", 8, 1));
+        assert_eq!(site_shortfall(&nl, strip), Some((CellKind::Bram, 3, 2)));
     }
 
     #[test]

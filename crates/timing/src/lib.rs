@@ -41,4 +41,4 @@ pub mod sta;
 pub use fanout_opt::{optimize_fanout, FanoutOptions};
 pub use refine::{refine_critical, RefineOptions};
 pub use retime::{retime, RetimeOptions};
-pub use sta::{sta, TimingReport, SETUP_NS};
+pub use sta::{sta, StaGraph, TimingReport, SETUP_NS};

@@ -12,7 +12,7 @@
 //! physics is preserved because a net's many *sinks* stay where global
 //! placement put them.
 
-use crate::sta::{sta, TimingReport};
+use crate::sta::{StaGraph, TimingReport};
 use hlsb_fabric::WireModel;
 use hlsb_netlist::{CellId, CellKind, Netlist};
 use hlsb_place::sites::snap_column;
@@ -69,8 +69,32 @@ fn neighbor_median(netlist: &Netlist, placement: &Placement, cell: CellId) -> Op
     Some((xs[xs.len() / 2], ys[ys.len() / 2]))
 }
 
+/// An arc's wire delay, driver and sink.
+type ArcDelay = (f64, CellId, CellId);
+
+/// The `k` slowest arcs, slowest first, ties in their original order:
+/// the first `k` of a stable descending sort, without sorting the rest.
+fn worst_arcs(arcs: Vec<ArcDelay>, k: usize) -> Vec<ArcDelay> {
+    let mut ranked: Vec<(usize, ArcDelay)> = arcs.into_iter().enumerate().collect();
+    let order = |a: &(usize, ArcDelay), b: &(usize, ArcDelay)| {
+        b.1 .0
+            .partial_cmp(&a.1 .0)
+            .expect("wire delays are finite")
+            .then(a.0.cmp(&b.0))
+    };
+    if ranked.len() > k {
+        ranked.select_nth_unstable_by(k, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+    ranked.into_iter().map(|(_, arc)| arc).collect()
+}
+
 /// Pulls critical-path cells toward their neighbourhood medians while the
 /// clock period improves. Returns the report and the final timing.
+///
+/// The netlist does not change here, so one [`StaGraph`] times every
+/// candidate move; only an accepted move builds a [`TimingReport`].
 pub fn refine_critical(
     netlist: &Netlist,
     placement: &mut Placement,
@@ -78,7 +102,8 @@ pub fn refine_critical(
     options: RefineOptions,
 ) -> (RefineReport, TimingReport) {
     let mut report = RefineReport::default();
-    let mut timing = sta(netlist, placement, wire);
+    let mut graph = StaGraph::new(netlist, wire);
+    let mut timing = graph.evaluate(placement);
     let grid_w = placement.grid_w as u16;
 
     // Phase 1: flatten the global tail of worst arcs. Critical-path
@@ -86,17 +111,16 @@ pub fn refine_critical(
     // critical; here every offending arc's endpoints are offered the arc
     // midpoint, accepted when the arc shrinks without hurting the period.
     for _sweep in 0..3 {
-        let mut arcs: Vec<(f64, CellId, CellId)> = Vec::new();
+        let mut arcs: Vec<ArcDelay> = Vec::new();
         for (_, net) in netlist.nets() {
-            let fo = net.fanout();
+            let terms = wire.fanout_terms(net.fanout());
             for &s in &net.sinks {
-                let d = wire.net_delay_ns(placement.dist(net.driver, s), fo);
+                let d = wire.net_delay_with(placement.dist(net.driver, s), terms);
                 arcs.push((d, net.driver, s));
             }
         }
-        arcs.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
         let mut any = false;
-        for &(old_delay, a, b) in arcs.iter().take(64) {
+        for (old_delay, a, b) in worst_arcs(arcs, 64) {
             let (ax, ay) = placement.loc(a);
             let (bx, by) = placement.loc(b);
             let mid = ((ax + bx) / 2, (ay + by) / 2);
@@ -113,9 +137,10 @@ pub fn refine_critical(
                 placement.set_loc(cell, target);
                 let fo = fo_net.map(|n| netlist.net(n).fanout()).unwrap_or(1);
                 let new_delay = wire.net_delay_ns(placement.dist(a, b), fo);
-                let new_timing = sta(netlist, placement, wire);
-                if new_delay + 1e-9 < old_delay && new_timing.period_ns <= timing.period_ns + 1e-9 {
-                    timing = new_timing;
+                // Time the move only when the arc shrank: a move that
+                // fails the first test is rejected whatever its period.
+                if new_delay + 1e-9 < old_delay && graph.run(placement) <= timing.period_ns + 1e-9 {
+                    timing = graph.report();
                     report.moves += 1;
                     any = true;
                     break; // next arc
@@ -168,9 +193,8 @@ pub fn refine_critical(
                 continue;
             }
             placement.set_loc(cell, target);
-            let new_timing = sta(netlist, placement, wire);
-            if new_timing.period_ns + 1e-9 < timing.period_ns {
-                timing = new_timing;
+            if graph.run(placement) + 1e-9 < timing.period_ns {
+                timing = graph.report();
                 report.moves += 1;
                 improved = true;
             } else {
@@ -187,7 +211,23 @@ pub fn refine_critical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sta::sta;
     use hlsb_netlist::Cell;
+
+    #[test]
+    fn worst_arcs_equal_the_head_of_a_stable_sort() {
+        let mut rng = hlsb_rng::Rng::seed_from_u64(5);
+        for len in [0usize, 1, 63, 64, 65, 300, 2000] {
+            // Delays from a small set, so ties are everywhere.
+            let arcs: Vec<ArcDelay> = (0..len as u32)
+                .map(|i| (rng.gen_index(8) as f64 * 0.25, CellId(i), CellId(i + 1)))
+                .collect();
+            let mut sorted = arcs.clone();
+            sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            sorted.truncate(64);
+            assert_eq!(worst_arcs(arcs, 64), sorted, "{len} arcs");
+        }
+    }
 
     #[test]
     fn pulls_outlier_onto_path() {

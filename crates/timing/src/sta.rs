@@ -99,97 +99,209 @@ fn is_launch(kind: CellKind) -> bool {
 ///
 /// Panics if the netlist contains a combinational cycle (validate first).
 pub fn sta(netlist: &Netlist, placement: &Placement, wire: &WireModel) -> TimingReport {
-    let n = netlist.cell_count();
-    let order = netlist
-        .comb_topo_order()
-        .expect("netlist must be free of combinational cycles");
+    StaGraph::new(netlist, wire).evaluate(placement)
+}
 
-    // Arrival time at each cell's *output*.
-    let mut arrival = vec![0.0f64; n];
-    // For path reconstruction: the input driver that determined the arrival.
-    let mut best_pred: Vec<Option<CellId>> = vec![None; n];
+/// An arc of the timing graph: its driver and the fanout terms of the
+/// net it belongs to.
+#[derive(Debug, Clone, Copy)]
+struct TimingArc {
+    driver: CellId,
+    terms: (f64, f64),
+}
 
-    // Contribution of `driver` to a sink's input arrival.
-    let contribution = |arrival: &[f64], driver: CellId, sink: CellId, fanout: usize| -> f64 {
-        if netlist.cell(driver).kind == CellKind::Const {
-            return 0.0;
-        }
-        arrival[driver.index()] + wire.net_delay_ns(placement.dist(driver, sink), fanout)
-    };
+/// The placement-independent half of [`sta`], built once per netlist and
+/// evaluated for any number of placements of it. It holds the
+/// combinational topological order, every net's fanout terms, the
+/// const-driver flags and the capture arcs; its arrival and predecessor
+/// buffers are reused across evaluations. Wire delays are summed in the
+/// order [`WireModel::net_delay_ns`] uses, and an evaluation overwrites
+/// every value it reads, so a reused graph reports exactly what a fresh
+/// one would. Timing-driven refinement, which moves cells but never
+/// changes the netlist, evaluates one graph per candidate move.
+#[derive(Debug, Clone)]
+pub struct StaGraph {
+    wire: WireModel,
+    /// Non-launch cells in combinational topological order, each with its
+    /// logic delay and the end of its input arcs in `inputs`.
+    comb: Vec<(CellId, f64, usize)>,
+    /// Input arcs of the `comb` cells. Arcs from constants are left out:
+    /// they contribute 0, which never beats the running worst arrival
+    /// (it starts at 0).
+    inputs: Vec<TimingArc>,
+    /// Arcs into sequential and output cells, with their sink and whether
+    /// the driver is a constant, in net and then sink order.
+    captures: Vec<(TimingArc, CellId, bool)>,
+    arrival: Vec<f64>,
+    best_pred: Vec<Option<CellId>>,
+    period_ns: f64,
+    critical: Option<(CellId, CellId)>,
+}
 
-    // Launch arrivals are fixed and must be set before any combinational
-    // cell is evaluated (the topo order only constrains comb-to-comb arcs).
-    for (c, cell) in netlist.cells() {
-        if is_launch(cell.kind) {
-            arrival[c.index()] = cell.delay_ns;
-        }
-    }
+impl StaGraph {
+    /// Builds the timing graph of a netlist under a wire model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist contains a combinational cycle (validate
+    /// first).
+    pub fn new(netlist: &Netlist, wire: &WireModel) -> Self {
+        let n = netlist.cell_count();
+        let order = netlist
+            .comb_topo_order()
+            .expect("netlist must be free of combinational cycles");
+        let is_const = |c: CellId| netlist.cell(c).kind == CellKind::Const;
+        // Fanout terms per net, each distinct fanout's logarithm taken once.
+        let mut by_fanout: Vec<Option<(f64, f64)>> = Vec::new();
+        let terms: Vec<(f64, f64)> = netlist
+            .nets()
+            .map(|(_, net)| {
+                let fo = net.fanout();
+                if by_fanout.len() <= fo {
+                    by_fanout.resize(fo + 1, None);
+                }
+                *by_fanout[fo].get_or_insert_with(|| wire.fanout_terms(fo))
+            })
+            .collect();
 
-    for &c in &order {
-        let cell = netlist.cell(c);
-        if is_launch(cell.kind) {
-            continue;
-        }
-        // Combinational (Comb/Dsp) or Output. Output cells have no output
-        // arrival of interest but we compute it anyway (0-delay pass).
-        let mut worst = 0.0f64;
-        let mut pred = None;
-        for &net_id in netlist.input_nets(c) {
-            let net = netlist.net(net_id);
-            let a = contribution(&arrival, net.driver, c, net.fanout());
-            if a > worst {
-                worst = a;
-                pred = Some(net.driver);
+        // Launch arrivals are fixed: they are written once here and never
+        // overwritten, because evaluation only writes the `comb` cells.
+        let mut arrival = vec![0.0f64; n];
+        for (c, cell) in netlist.cells() {
+            if is_launch(cell.kind) {
+                arrival[c.index()] = cell.delay_ns;
             }
         }
-        arrival[c.index()] = worst + cell.delay_ns;
-        best_pred[c.index()] = pred;
-    }
 
-    // Capture points: sequential or output sinks.
-    let mut period = 0.0f64;
-    let mut crit_sink = None;
-    let mut crit_driver = None;
-    for (_, net) in netlist.nets() {
-        let fo = net.fanout();
-        for &s in &net.sinks {
-            let k = netlist.cell(s).kind;
-            if k.is_sequential() || k == CellKind::Output {
-                let total = contribution(&arrival, net.driver, s, fo) + SETUP_NS;
-                if total > period {
-                    period = total;
-                    crit_sink = Some(s);
-                    crit_driver = Some(net.driver);
+        let mut comb = Vec::new();
+        let mut inputs = Vec::new();
+        for c in order {
+            let cell = netlist.cell(c);
+            if is_launch(cell.kind) {
+                continue;
+            }
+            for &net_id in netlist.input_nets(c) {
+                let driver = netlist.net(net_id).driver;
+                if !is_const(driver) {
+                    inputs.push(TimingArc {
+                        driver,
+                        terms: terms[net_id.index()],
+                    });
+                }
+            }
+            comb.push((c, cell.delay_ns, inputs.len()));
+        }
+
+        let mut captures = Vec::new();
+        for (net_id, net) in netlist.nets() {
+            let arc = TimingArc {
+                driver: net.driver,
+                terms: terms[net_id.index()],
+            };
+            for &s in &net.sinks {
+                let k = netlist.cell(s).kind;
+                if k.is_sequential() || k == CellKind::Output {
+                    captures.push((arc, s, is_const(net.driver)));
                 }
             }
         }
+
+        StaGraph {
+            wire: *wire,
+            comb,
+            inputs,
+            captures,
+            arrival,
+            best_pred: vec![None; n],
+            period_ns: 0.0,
+            critical: None,
+        }
     }
 
-    // A design with no capture points (e.g. a lone register) still needs a
-    // positive period.
-    if period <= 0.0 {
-        period = SETUP_NS + 0.1;
+    /// Arrival at `sink`'s input through a non-constant arc.
+    fn through(&self, placement: &Placement, arc: TimingArc, sink: CellId) -> f64 {
+        self.arrival[arc.driver.index()]
+            + self
+                .wire
+                .net_delay_with(placement.dist(arc.driver, sink), arc.terms)
     }
 
-    // Reconstruct the critical path.
-    let mut path = Vec::new();
-    if let (Some(sink), Some(mut cur)) = (crit_sink, crit_driver) {
-        path.push(sink);
-        loop {
-            path.push(cur);
-            match best_pred[cur.index()] {
-                Some(p) => cur = p,
-                None => break,
+    /// Times a placement of the netlist and returns its clock period, ns.
+    /// [`StaGraph::report`] then describes this run.
+    pub fn run(&mut self, placement: &Placement) -> f64 {
+        let mut start = 0;
+        for i in 0..self.comb.len() {
+            let (c, delay, end) = self.comb[i];
+            // Combinational (Comb/Dsp) or Output. Output cells have no
+            // output arrival of interest but we compute it anyway (0-delay
+            // pass).
+            let mut worst = 0.0f64;
+            let mut pred = None;
+            for &arc in &self.inputs[start..end] {
+                let a = self.through(placement, arc, c);
+                if a > worst {
+                    worst = a;
+                    pred = Some(arc.driver);
+                }
+            }
+            self.arrival[c.index()] = worst + delay;
+            self.best_pred[c.index()] = pred;
+            start = end;
+        }
+
+        // Capture points: sequential or output sinks.
+        let mut period = 0.0f64;
+        let mut critical = None;
+        for &(arc, sink, const_driver) in &self.captures {
+            let arrival = if const_driver {
+                0.0
+            } else {
+                self.through(placement, arc, sink)
+            };
+            let total = arrival + SETUP_NS;
+            if total > period {
+                period = total;
+                critical = Some((arc.driver, sink));
             }
         }
-        path.reverse();
+        // A design with no capture points (e.g. a lone register) still
+        // needs a positive period.
+        if period <= 0.0 {
+            period = SETUP_NS + 0.1;
+        }
+        self.period_ns = period;
+        self.critical = critical;
+        period
     }
 
-    TimingReport {
-        period_ns: period,
-        fmax_mhz: 1000.0 / period,
-        critical_path: path,
-        arrival_ns: arrival,
+    /// The report of the last [`StaGraph::run`]: its period, critical path
+    /// and arrivals.
+    pub fn report(&self) -> TimingReport {
+        let mut path = Vec::new();
+        if let Some((mut cur, sink)) = self.critical {
+            path.push(sink);
+            loop {
+                path.push(cur);
+                match self.best_pred[cur.index()] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+            path.reverse();
+        }
+        TimingReport {
+            period_ns: self.period_ns,
+            fmax_mhz: 1000.0 / self.period_ns,
+            critical_path: path,
+            arrival_ns: self.arrival.clone(),
+        }
+    }
+
+    /// Times a placement and reports it: [`StaGraph::run`] then
+    /// [`StaGraph::report`].
+    pub fn evaluate(&mut self, placement: &Placement) -> TimingReport {
+        self.run(placement);
+        self.report()
     }
 }
 
@@ -325,6 +437,231 @@ mod tests {
         assert!(text.lines().count() >= 5, "{text}");
         // The per-arc totals accumulate to about the period (minus setup).
         assert!(text.contains("setup"), "{text}");
+    }
+
+    /// The single-pass STA that [`StaGraph`] replaced, kept verbatim (with
+    /// the wire formula it called inlined) as the reference its
+    /// evaluations must reproduce bit for bit.
+    fn sta_oracle(netlist: &Netlist, placement: &Placement, wire: &WireModel) -> TimingReport {
+        let n = netlist.cell_count();
+        let order = netlist
+            .comb_topo_order()
+            .expect("netlist must be free of combinational cycles");
+        let mut arrival = vec![0.0f64; n];
+        let mut best_pred: Vec<Option<CellId>> = vec![None; n];
+        let contribution = |arrival: &[f64], driver: CellId, sink: CellId, fanout: usize| -> f64 {
+            if netlist.cell(driver).kind == CellKind::Const {
+                return 0.0;
+            }
+            // `WireModel::net_delay_ns` as it was, inlined, so the oracle
+            // does not share the precomputed-terms path under test.
+            let fo = fanout.max(1) as f64;
+            let wire_ns = wire.speed
+                * (wire.base_ns
+                    + wire.r_dist_ns * placement.dist(driver, sink)
+                    + wire.k_fanout_ns * (1.0 + fo).ln()
+                    + wire.c_sink_ns * (fo - 1.0));
+            arrival[driver.index()] + wire_ns
+        };
+        for (c, cell) in netlist.cells() {
+            if is_launch(cell.kind) {
+                arrival[c.index()] = cell.delay_ns;
+            }
+        }
+        for &c in &order {
+            let cell = netlist.cell(c);
+            if is_launch(cell.kind) {
+                continue;
+            }
+            let mut worst = 0.0f64;
+            let mut pred = None;
+            for &net_id in netlist.input_nets(c) {
+                let net = netlist.net(net_id);
+                let a = contribution(&arrival, net.driver, c, net.fanout());
+                if a > worst {
+                    worst = a;
+                    pred = Some(net.driver);
+                }
+            }
+            arrival[c.index()] = worst + cell.delay_ns;
+            best_pred[c.index()] = pred;
+        }
+        let mut period = 0.0f64;
+        let mut crit_sink = None;
+        let mut crit_driver = None;
+        for (_, net) in netlist.nets() {
+            let fo = net.fanout();
+            for &s in &net.sinks {
+                let k = netlist.cell(s).kind;
+                if k.is_sequential() || k == CellKind::Output {
+                    let total = contribution(&arrival, net.driver, s, fo) + SETUP_NS;
+                    if total > period {
+                        period = total;
+                        crit_sink = Some(s);
+                        crit_driver = Some(net.driver);
+                    }
+                }
+            }
+        }
+        if period <= 0.0 {
+            period = SETUP_NS + 0.1;
+        }
+        let mut path = Vec::new();
+        if let (Some(sink), Some(mut cur)) = (crit_sink, crit_driver) {
+            path.push(sink);
+            loop {
+                path.push(cur);
+                match best_pred[cur.index()] {
+                    Some(p) => cur = p,
+                    None => break,
+                }
+            }
+            path.reverse();
+        }
+        TimingReport {
+            period_ns: period,
+            fmax_mhz: 1000.0 / period,
+            critical_path: path,
+            arrival_ns: arrival,
+        }
+    }
+
+    /// Lowers a design the way the flow's front-end, schedule and lower
+    /// stages do (unroll, schedule at 300 MHz, baseline RTL).
+    fn lowered(design: &hlsb_ir::Design) -> Netlist {
+        use hlsb_rtlgen::{lower_design, RtlOptions, ScheduledDesign, ScheduledLoop};
+        let model = hlsb_delay::HlsPredictedModel::new();
+        let loops: Vec<Vec<ScheduledLoop>> = design
+            .kernels
+            .iter()
+            .map(|k| {
+                k.loops
+                    .iter()
+                    .map(|lp| {
+                        let looop = hlsb_ir::unroll::unroll_loop(lp).looop;
+                        let schedule = hlsb_sched::schedule_loop(&looop, design, &model, 3.33);
+                        ScheduledLoop {
+                            looop,
+                            schedule,
+                            mem_plan: Default::default(),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let sd = ScheduledDesign {
+            design,
+            loops: &loops,
+        };
+        lower_design(&sd, &RtlOptions::baseline(), &model).netlist
+    }
+
+    fn assert_same(got: &TimingReport, want: &TimingReport, what: &str) {
+        assert_eq!(
+            got.period_ns.to_bits(),
+            want.period_ns.to_bits(),
+            "{what}: period"
+        );
+        assert_eq!(got.fmax_mhz.to_bits(), want.fmax_mhz.to_bits(), "{what}");
+        assert_eq!(got.critical_path, want.critical_path, "{what}: path");
+        let bits = |r: &TimingReport| r.arrival_ns.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: arrivals");
+    }
+
+    /// Small netlists for the corners the designs rarely reach: a
+    /// constant straight into a register (a capture arc that contributes
+    /// only setup), a constant into logic, a lone register with no capture
+    /// point, and a reconvergent fan-in whose equal-length branches tie.
+    fn corner_netlists() -> Vec<(String, Netlist)> {
+        let mut const_ff = Netlist::new("const_ff");
+        let k = const_ff.add_cell(Cell::constant("k", 8));
+        let b = const_ff.add_cell(Cell::ff("b", 8));
+        const_ff.connect(k, &[b]);
+
+        let mut const_comb = Netlist::new("const_comb");
+        let k = const_comb.add_cell(Cell::constant("k", 8));
+        let a = const_comb.add_cell(Cell::ff("a", 8));
+        let x = const_comb.add_cell(Cell::comb("x", 8, 0.4, 8));
+        let b = const_comb.add_cell(Cell::ff("b", 8));
+        const_comb.connect(k, &[x]);
+        const_comb.connect(a, &[x]);
+        const_comb.connect(x, &[b]);
+
+        let mut lone = Netlist::new("lone");
+        lone.add_cell(Cell::ff("r", 8));
+
+        let mut ties = Netlist::new("ties");
+        let src = ties.add_cell(Cell::ff("src", 8));
+        let branches: Vec<_> = (0..4)
+            .map(|i| ties.add_cell(Cell::comb(format!("m{i}"), 8, 0.3, 8)))
+            .collect();
+        ties.connect(src, &branches);
+        let join = ties.add_cell(Cell::comb("join", 8, 0.3, 8));
+        for &m in &branches {
+            ties.connect(m, &[join]);
+        }
+        let out = ties.add_cell(Cell::output("out", 8));
+        ties.connect(join, &[out]);
+
+        [const_ff, const_comb, lone, ties]
+            .into_iter()
+            .map(|nl| (nl.name.clone(), nl))
+            .collect()
+    }
+
+    #[test]
+    fn reused_graph_matches_oracle_over_random_moves() {
+        let mut netlists: Vec<(String, Netlist, Device)> = hlsb_benchmarks::all_benchmarks()
+            .into_iter()
+            .map(|b| (b.name.to_string(), lowered(&b.design), b.device))
+            .collect();
+        let vu9p = Device::ultrascale_plus_vu9p();
+        for seed in 0..6 {
+            let nl = lowered(&hlsb_sim::fuzz::random_design(seed));
+            netlists.push((format!("fuzz:{seed}"), nl, vu9p.clone()));
+        }
+        for (name, nl) in corner_netlists() {
+            netlists.push((name, nl, vu9p.clone()));
+        }
+        let mut rng = hlsb_rng::Rng::seed_from_u64(13);
+        for (name, nl, device) in &netlists {
+            let wire = WireModel::for_device(device);
+            // Scattered over the whole die, and packed into a 3x3 window
+            // where equal distances, and so tied arrivals, are common.
+            for (w, h) in [(device.grid_w as u16, device.grid_h as u16), (3, 3)] {
+                let what = format!("{name} in {w}x{h}");
+                let random_loc = |rng: &mut hlsb_rng::Rng| {
+                    (
+                        rng.gen_index(w.into()) as u16,
+                        rng.gen_index(h.into()) as u16,
+                    )
+                };
+                let locs = (0..nl.cell_count()).map(|_| random_loc(&mut rng)).collect();
+                let mut p = Placement::from_locs(locs, device.grid_w, device.grid_h);
+                let mut graph = StaGraph::new(nl, &wire);
+                assert_same(&graph.evaluate(&p), &sta_oracle(nl, &p, &wire), &what);
+                for step in 0..40 {
+                    let cell = CellId(rng.gen_index(nl.cell_count()) as u32);
+                    // Mostly short moves, as refinement makes; now and
+                    // then a jump across the window.
+                    let loc = if rng.gen_bool(0.2) {
+                        random_loc(&mut rng)
+                    } else {
+                        let (x, y) = p.loc(cell);
+                        let x = (i64::from(x) + rng.gen_i64(-3, 3)).clamp(0, i64::from(w) - 1);
+                        let y = (i64::from(y) + rng.gen_i64(-3, 3)).clamp(0, i64::from(h) - 1);
+                        (x as u16, y as u16)
+                    };
+                    p.set_loc(cell, loc);
+                    let want = sta_oracle(nl, &p, &wire);
+                    let what = format!("{what}, move {step}");
+                    let period = graph.run(&p);
+                    assert_eq!(period.to_bits(), want.period_ns.to_bits(), "{what}");
+                    assert_same(&graph.report(), &want, &what);
+                    assert_same(&sta(nl, &p, &wire), &want, &what);
+                }
+            }
+        }
     }
 
     #[test]
